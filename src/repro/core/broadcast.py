@@ -274,9 +274,9 @@ class BroadcastProcess(Process):
         message = self._current_tx if self.info.is_root else self._relay
         if message is None:
             return None
-        info = self.dist_slots.decode(slot)
-        if info.phase != self._session_phase:
-            self._session_phase = info.phase
+        phase = self.dist_slots.phase_of(slot)
+        if phase != self._session_phase:
+            self._session_phase = phase
             self._session = DecaySession(
                 self.dist_slots.decay_budget, self._rng
             )

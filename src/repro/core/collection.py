@@ -231,9 +231,10 @@ def run_collection(
 ) -> CollectionResult:
     """Run collection to completion: every injected message reaches the root.
 
-    ``max_slots`` defaults to a generous multiple of the Theorem 4.4 bound;
-    exceeding it raises :class:`~repro.errors.SimulationTimeout` (which,
-    in the failure-free model, indicates a bug rather than bad luck).
+    ``max_slots`` defaults to :func:`collection_slot_budget`, a generous
+    multiple of the Theorem 4.4 bound; exceeding it raises
+    :class:`~repro.errors.SimulationTimeout` (which, in the failure-free
+    model, indicates a bug rather than bad luck).
     """
     network, processes, slot_structure = build_collection_network(
         graph, tree, sources, seed, level_classes, strict, budget
@@ -241,10 +242,9 @@ def run_collection(
     total_messages = sum(len(v) for v in sources.values())
     root_process = processes[tree.root]
     if max_slots is None:
-        bound = expected_collection_slots(
-            total_messages, tree.depth, graph.max_degree()
+        max_slots = collection_slot_budget(
+            total_messages, tree.depth, graph.max_degree(), level_classes
         )
-        max_slots = max(10_000, int(20 * bound))
     network.run(
         max_slots,
         until=lambda net: len(root_process.delivered) >= total_messages
@@ -296,3 +296,16 @@ def expected_collection_slots(
     """
     log_delta = _math.log2(max(2, max_degree))
     return theorem_44_constant() * (k + depth) * log_delta * level_classes
+
+
+def collection_slot_budget(
+    k: int, depth: int, max_degree: int, level_classes: int
+) -> int:
+    """Default ``max_slots`` of a collection run on either engine.
+
+    A generous multiple (20×) of the Theorem 4.4 bound for the
+    multiplexed schedule actually simulated — ``level_classes``
+    included — with a floor of 10,000 slots for tiny runs.
+    """
+    bound = expected_collection_slots(k, depth, max_degree, level_classes)
+    return max(10_000, int(20 * bound))

@@ -13,7 +13,7 @@ cheap, standing in for the O(log n)-bit packets of the model.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Hashable, Optional, Tuple
 
 from repro.graphs.graph import NodeId
@@ -50,7 +50,14 @@ class DataMessage:
 
     def rehop(self, sender: NodeId, dest: NodeId) -> "DataMessage":
         """The same end-to-end message readdressed for the next hop."""
-        return replace(self, hop_sender=sender, hop_dest=dest)
+        return DataMessage(
+            msg_id=self.msg_id,
+            origin=self.origin,
+            hop_sender=sender,
+            hop_dest=dest,
+            dest_address=self.dest_address,
+            payload=self.payload,
+        )
 
 
 @dataclass(frozen=True)

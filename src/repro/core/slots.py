@@ -95,13 +95,23 @@ class SlotStructure:
         self.level_classes = level_classes
         self.with_acks = with_acks
         self._width = 2 if with_acks else 1
-        self.phase_length = decay_budget * level_classes * self._width
+        self._round_width = level_classes * self._width
+        self.phase_length = decay_budget * self._round_width
 
     def decode(self, slot: int) -> SlotInfo:
-        """Decode a global slot number."""
+        """Decode a global slot number.
+
+        This is the schedule's specification.  The per-slot queries below
+        (:meth:`is_data_slot_for`, :meth:`next_data_slot_for`,
+        :meth:`ack_slot_after`, :meth:`phase_of`) answer the same
+        questions with plain slot arithmetic, allocation-free, and the
+        tests check them against ``decode`` slot by slot.  Phases tile
+        rounds uniformly, so a slot's position within its round is
+        ``slot mod round_width``: level class c's data slot sits at
+        offset ``c * width`` and its ack slot right after it.
+        """
         phase, within_phase = divmod(slot, self.phase_length)
-        round_width = self.level_classes * self._width
-        decay_step, within_round = divmod(within_phase, round_width)
+        decay_step, within_round = divmod(within_phase, self._round_width)
         level_class, sub = divmod(within_round, self._width)
         kind = SlotKind.ACK if (self.with_acks and sub == 1) else SlotKind.DATA
         return SlotInfo(
@@ -114,31 +124,25 @@ class SlotStructure:
 
     def is_data_slot_for(self, slot: int, level: int) -> bool:
         """Whether a node at BFS ``level`` may transmit data in ``slot``."""
-        info = self.decode(slot)
         return (
-            info.kind is SlotKind.DATA
-            and info.level_class == level % self.level_classes
+            slot % self._round_width
+            == (level % self.level_classes) * self._width
         )
 
     def next_data_slot_for(self, slot: int, level: int) -> int:
         """The first slot >= ``slot`` in which BFS ``level`` may send data.
 
-        Exact schedule arithmetic for the idle fast path: phases tile
-        rounds uniformly, so the data slots of level class c are exactly
-        the slots congruent to ``c * width (mod round_width)`` — the
-        class's data slot sits at offset ``c * width`` within each round
-        of ``level_classes * width`` slots.
+        The data slots of level class c are exactly the slots congruent
+        to ``c * width (mod round_width)`` (see :meth:`decode`).
         """
-        round_width = self.level_classes * self._width
         target = (level % self.level_classes) * self._width
-        return slot + (target - slot) % round_width
+        return slot + (target - slot) % self._round_width
 
     def ack_slot_after(self, data_slot: int) -> int:
         """The ack slot paired with ``data_slot`` (the next slot, §3)."""
         if not self.with_acks:
             raise ConfigurationError("this schedule has no ack slots")
-        info = self.decode(data_slot)
-        if info.kind is not SlotKind.DATA:
+        if data_slot % 2:  # with acks, data slots are the even slots
             raise ConfigurationError(f"slot {data_slot} is not a data slot")
         return data_slot + 1
 

@@ -28,6 +28,8 @@ quiet_until`; the engine keeps a min-heap of wake slots and skips
 sleeping processes entirely — a reception (or collision callback) wakes
 a process immediately, so reactive traffic is never delayed.  Processes
 that do not implement the hint are polled every slot, exactly as before.
+A slot in which no station is due costs only the wake-heap check: the
+engine advances the clock and the counters and returns.
 The fast path is bypassed whenever a failure model is attached (crash
 schedules must be consulted per slot) or ``idle_scheduling`` is False.
 """
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import defaultdict
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -56,6 +57,11 @@ from repro.radio.trace import (
 from repro.radio.transmission import Transmission
 
 UntilPredicate = Callable[["RadioNetwork"], bool]
+
+#: ``down_nodes`` of a slot with no failure model attached.
+_NOBODY: frozenset = frozenset()
+#: Reception-map marker: a second neighbor transmitted to this receiver.
+_COLLIDED = object()
 
 
 class RadioNetwork:
@@ -229,23 +235,22 @@ class RadioNetwork:
 
     def step(self) -> None:
         """Advance the network by one slot."""
-        self._require_fully_attached()
+        if not self._attachment_validated:
+            self._require_fully_attached()
         slot = self.slot
         failures = self.failures
-        trace = self.trace
-        tracing = trace is not None
         processes = self._processes
         profiler = self.profiler
+        stats = self.stats
         mark = profiler.clock() if profiler is not None else 0.0
 
         # The fast path needs per-slot crash schedules out of the way
         # (a sleeping station must still crash on time for the stats and
         # the collision semantics), so any failure model disables it.
-        use_idle = self.idle_scheduling and failures is None
         # Stations acting this slot, in deterministic wake order (polled
         # now, or woken later by a reception); None = everyone, legacy.
         awake: Optional[Dict[NodeId, None]] = None
-        if use_idle:
+        if self.idle_scheduling and failures is None:
             if not self._wake_valid:
                 self._rebuild_wake()
             awake = {}
@@ -256,43 +261,58 @@ class RadioNetwork:
                 if node in awake or wake.get(node) != entry_wake:
                     continue  # stale entry: rescheduled since it was pushed
                 awake[node] = None
+            if not awake:
+                # No station is due, so nobody transmits and nobody can
+                # receive: the slot is provably empty.  Only the clock and
+                # the counters move; its time is charged to the intents
+                # phase, where the wake-heap check is accounted.
+                self.slot = slot + 1
+                stats.slots += 1
+                if profiler is not None:
+                    profiler.add("scalar/intents", profiler.clock() - mark)
+                    profiler.bump("skipped", len(processes))
+                    profiler.bump("scalar_slots")
+                return
             poll = awake
         else:
             poll = processes
 
-        # Phase 1: gather transmission intents.
-        transmitters: List[Dict[NodeId, object]] = [
-            {} for _ in range(self.num_channels)
-        ]
-        transmitting_nodes: List[set] = [set() for _ in range(self.num_channels)]
-        down_nodes = set()
+        # Phase 1: gather transmission intents.  A channel's sender dict
+        # (station -> payload) is created on its first transmission; its
+        # keys double as the set of stations transmitting on it.
+        num_channels = self.num_channels
+        trace = self.trace
+        transmitters: List[Optional[Dict[NodeId, object]]] = [
+            None
+        ] * num_channels
+        down_nodes = set() if failures is not None else _NOBODY
         for node in poll:
-            process = processes[node]
             if failures is not None and failures.node_down(node, slot):
                 down_nodes.add(node)
-                self.stats.down_node_slots += 1
+                stats.down_node_slots += 1
                 continue
-            action = process.on_slot(slot)
+            action = processes[node].on_slot(slot)
             if action is None:
                 continue
-            for tx in self._normalize_action(action):
-                if tx.channel >= self.num_channels:
+            for tx in (action,) if isinstance(action, Transmission) else action:
+                channel = tx.channel
+                if channel >= num_channels:
                     raise ProtocolError(
-                        f"node {node!r} transmitted on channel {tx.channel} "
-                        f"but the network has {self.num_channels} channel(s)"
+                        f"node {node!r} transmitted on channel {channel} "
+                        f"but the network has {num_channels} channel(s)"
                     )
-                if node in transmitting_nodes[tx.channel]:
+                senders = transmitters[channel]
+                if senders is None:
+                    senders = transmitters[channel] = {}
+                elif node in senders:
                     raise ProtocolError(
                         f"node {node!r} transmitted twice on channel "
-                        f"{tx.channel} in slot {slot}"
+                        f"{channel} in slot {slot}"
                     )
-                transmitters[tx.channel][node] = tx.payload
-                transmitting_nodes[tx.channel].add(node)
-                self.stats.channel(tx.channel).transmissions += 1
-                if tracing:
-                    trace.record(
-                        TransmitEvent(slot, tx.channel, node, tx.payload)
-                    )
+                senders[node] = tx.payload
+                stats.channel(channel).transmissions += 1
+                if trace is not None:
+                    trace.record(TransmitEvent(slot, channel, node, tx.payload))
         if profiler is not None:
             now = profiler.clock()
             profiler.add("scalar/intents", now - mark)
@@ -300,32 +320,33 @@ class RadioNetwork:
             profiler.bump("skipped", len(processes) - len(poll))
             mark = now
 
-        # Phase 2: resolve receptions channel by channel.
+        # Phase 2: resolve receptions channel by channel.  ``heard`` maps
+        # each receiver, in first-hit order, to its only sender so far or
+        # to _COLLIDED once a second neighbor transmits.
         neighbors = self._neighbors
-        for channel in range(self.num_channels):
+        for channel in range(num_channels):
             senders = transmitters[channel]
             if not senders:
                 continue
-            channel_stats = self.stats.channel(channel)
+            channel_stats = stats.channel(channel)
             channel_stats.busy_slots += 1
-            hit_count: Dict[NodeId, int] = defaultdict(int)
-            last_sender: Dict[NodeId, NodeId] = {}
+            heard: Dict[NodeId, object] = {}
             for sender in senders:
                 for receiver in neighbors[sender]:
-                    hit_count[receiver] += 1
-                    last_sender[receiver] = sender
-            sending_here = transmitting_nodes[channel]
-            for receiver, count in hit_count.items():
-                if receiver in sending_here or receiver in down_nodes:
+                    heard[receiver] = (
+                        _COLLIDED if receiver in heard else sender
+                    )
+            for receiver, sender in heard.items():
+                if receiver in senders or receiver in down_nodes:
                     continue  # busy transmitting / crashed: hears nothing
-                if count >= 2:
+                if sender is _COLLIDED:
                     channel_stats.collisions += 1
                     colliders = None
-                    if tracing or self.capture_effect:
+                    if trace is not None or self.capture_effect:
                         colliders = tuple(
                             s for s in senders if receiver in neighbors[s]
                         )
-                    if tracing:
+                    if trace is not None:
                         assert colliders is not None
                         trace.record(
                             CollisionEvent(slot, channel, receiver, colliders)
@@ -334,67 +355,30 @@ class RadioNetwork:
                         processes[receiver].on_collision(slot, channel)
                         if awake is not None and receiver not in awake:
                             awake[receiver] = None
-                    if self.capture_effect:
-                        # §8 remark (3): the receiver captures one of the
-                        # colliding messages, uniformly at random.  The
-                        # captured delivery is still subject to link loss.
-                        assert colliders is not None
-                        assert self._capture_rng is not None
-                        winner = self._capture_rng.choice(colliders)
-                        if failures is not None and failures.drop_delivery(
-                            winner, receiver, slot
-                        ):
-                            channel_stats.dropped += 1
-                            if tracing:
-                                trace.record(
-                                    DropEvent(
-                                        slot,
-                                        channel,
-                                        receiver,
-                                        winner,
-                                        senders[winner],
-                                    )
-                                )
-                            continue
-                        channel_stats.deliveries += 1
-                        if tracing:
-                            trace.record(
-                                DeliverEvent(
-                                    slot,
-                                    channel,
-                                    receiver,
-                                    winner,
-                                    senders[winner],
-                                )
-                            )
-                        processes[receiver].on_receive(
-                            slot, channel, senders[winner]
-                        )
-                        if awake is not None and receiver not in awake:
-                            awake[receiver] = None
-                    continue
-                sender = last_sender[receiver]
+                    if not self.capture_effect:
+                        continue
+                    # §8 remark (3): the receiver captures one of the
+                    # colliding messages, uniformly at random.  The
+                    # captured delivery is still subject to link loss.
+                    assert colliders is not None
+                    assert self._capture_rng is not None
+                    sender = self._capture_rng.choice(colliders)
+                payload = senders[sender]
                 if failures is not None and failures.drop_delivery(
                     sender, receiver, slot
                 ):
                     channel_stats.dropped += 1
-                    if tracing:
+                    if trace is not None:
                         trace.record(
-                            DropEvent(
-                                slot, channel, receiver, sender, senders[sender]
-                            )
+                            DropEvent(slot, channel, receiver, sender, payload)
                         )
                     continue
                 channel_stats.deliveries += 1
-                if tracing:
+                if trace is not None:
                     trace.record(
-                        DeliverEvent(
-                            slot, channel, receiver, sender, senders[sender]
-                        )
+                        DeliverEvent(slot, channel, receiver, sender, payload)
                     )
-                processes[receiver].on_receive(
-                    slot, channel, senders[sender]
-                )
+                processes[receiver].on_receive(slot, channel, payload)
                 if awake is not None and receiver not in awake:
                     awake[receiver] = None
         if profiler is not None:
@@ -422,8 +406,8 @@ class RadioNetwork:
                 if node not in down_nodes:
                     process.on_slot_end(slot)
 
-        self.slot += 1
-        self.stats.slots += 1
+        self.slot = slot + 1
+        stats.slots += 1
         if profiler is not None:
             profiler.add("scalar/slot_end", profiler.clock() - mark)
             profiler.bump("scalar_slots")

@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.collection import expected_collection_slots
+from repro.core.collection import collection_slot_budget
 from repro.core.slots import SlotKind, SlotStructure, decay_budget
 from repro.errors import ConfigurationError, ProtocolError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
@@ -709,18 +709,18 @@ class BatchCollection:
     def run_until_done(self, max_slots: Optional[int] = None) -> np.ndarray:
         """Run until every replication drains; returns completion slots.
 
-        ``max_slots`` defaults to the same generous multiple of the
-        Theorem 4.4 bound the scalar :func:`~repro.core.collection.
-        run_collection` uses; stragglers past it raise
-        :class:`~repro.errors.SimulationTimeout`.
+        ``max_slots`` defaults to the budget the scalar
+        :func:`~repro.core.collection.run_collection` uses
+        (:func:`~repro.core.collection.collection_slot_budget`);
+        stragglers past it raise :class:`~repro.errors.SimulationTimeout`.
         """
         if max_slots is None:
-            bound = expected_collection_slots(
+            max_slots = collection_slot_budget(
                 self.total_messages,
                 self.radio.tree.depth,
                 self.radio.graph.max_degree(),
+                self.slots.level_classes,
             )
-            max_slots = max(10_000, int(20 * bound))
         while not self.done.all() and self.slot < max_slots:
             self.step()
         if not self.done.all():

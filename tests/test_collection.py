@@ -164,3 +164,57 @@ class TestPerformanceEnvelope:
         base = expected_collection_slots(10, 5, 8)
         assert expected_collection_slots(10, 5, 8, level_classes=3) == 3 * base
         assert expected_collection_slots(25, 5, 8) > base
+
+
+class TestDefaultBudget:
+    """Both engines default ``max_slots`` to 20× the multiplexed bound."""
+
+    GRAPH = path(10)
+    SOURCES = {9: ["m"] * 6}
+
+    def expected(self, level_classes):
+        tree = reference_bfs_tree(self.GRAPH, 0)
+        bound = expected_collection_slots(
+            6, tree.depth, self.GRAPH.max_degree(), level_classes=level_classes
+        )
+        return max(10_000, int(20 * bound))
+
+    @pytest.mark.parametrize("level_classes", [1, 3])
+    def test_scalar_default_budget(self, monkeypatch, level_classes):
+        from repro.radio.network import RadioNetwork
+
+        budgets = []
+
+        def record_budget(net, max_slots, until=None, check_every=1):
+            budgets.append(max_slots)
+            return 0
+
+        monkeypatch.setattr(RadioNetwork, "run", record_budget)
+        collect(self.GRAPH, self.SOURCES, level_classes=level_classes)
+        assert budgets == [self.expected(level_classes)]
+
+    @pytest.mark.parametrize("level_classes", [1, 3])
+    def test_vector_default_budget(self, monkeypatch, level_classes):
+        from repro.errors import SimulationTimeout
+        from repro.vector import run_collection_batch
+        from repro.vector.collection import BatchCollection
+
+        def idle_step(sim):
+            sim.slot += 1  # never drains: runs exactly to the budget
+
+        monkeypatch.setattr(BatchCollection, "step", idle_step)
+        with pytest.raises(SimulationTimeout) as raised:
+            run_collection_batch(
+                self.GRAPH,
+                reference_bfs_tree(self.GRAPH, 0),
+                self.SOURCES,
+                seeds=[1],
+                level_classes=level_classes,
+            )
+        assert raised.value.slots_elapsed == self.expected(level_classes)
+
+    def test_three_classes_budget_exceeds_the_floor(self):
+        # The cell is sized so the level-class factor is visible: without
+        # it the budget would sit on the 10,000-slot floor.
+        assert self.expected(1) == 10_000
+        assert self.expected(3) > 20_000

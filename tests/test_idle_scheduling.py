@@ -200,6 +200,53 @@ class TestScheduleArithmetic:
             )
 
 
+class TestEmptySlots:
+    """A slot with no station due returns before any per-slot work."""
+
+    def quiet_network(self, n=5):
+        net = RadioNetwork(path(n))
+        procs = [CountingProcess(v, period=QUIET_FOREVER) for v in range(n)]
+        for proc in procs:
+            net.attach(proc)
+        return net, procs
+
+    def test_counters_stay_exact_when_everyone_is_quiet(self):
+        from repro.profiling import profiled
+
+        with profiled() as profile:
+            net, procs = self.quiet_network()
+            assert net.run(50) == 50
+        assert net.slot == 50
+        assert net.stats.slots == 50
+        counters = profile.counters
+        assert counters["scalar_slots"] == 50
+        # Slot 0 polls everyone once; every later slot is empty.
+        assert counters["polled"] == 5
+        assert counters["polled"] + counters["skipped"] == 5 * 50
+        assert all(proc.polled == [0] for proc in procs)
+        # Empty slots are charged to the intents phase only.
+        assert profile.samples["scalar/intents"] == 50
+        assert profile.samples["scalar/reception"] == 1
+        assert net.stats.transmissions == 0
+
+    @pytest.mark.parametrize("check_every", [1, 3])
+    def test_until_reading_the_clock_stops_on_the_same_slot(
+        self, check_every
+    ):
+        stops = []
+        for idle in (True, False):
+            net, _ = self.quiet_network()
+            net.idle_scheduling = idle
+            executed = net.run(
+                100,
+                until=lambda net: net.slot >= 37,
+                check_every=check_every,
+            )
+            stops.append((executed, net.slot, net.stats.slots))
+        assert stops[0] == stops[1]
+        assert stops[0][1] == (37 if check_every == 1 else 39)
+
+
 class TestProtocolEquivalence:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_collection_identical_with_and_without_fast_path(self, seed):
@@ -207,25 +254,60 @@ class TestProtocolEquivalence:
         tree = reference_bfs_tree(graph, 0)
         deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
         sources = {deepest: ["a", "b"], 5: ["c"]}
-        fingerprints = []
+        for level_classes in (1, 3):
+            fingerprints = []
+            for idle in (True, False):
+                network, processes, _ = build_collection_network(
+                    graph,
+                    tree,
+                    sources,
+                    seed=seed,
+                    level_classes=level_classes,
+                )
+                network.idle_scheduling = idle
+                network.run(2_000)
+                stats = network.stats.channel(0)
+                fingerprints.append(
+                    (
+                        [m.msg_id for m in processes[tree.root].delivered],
+                        [p.lane.backlog for p in processes.values()],
+                        network.stats.slots,
+                        stats.transmissions,
+                        stats.deliveries,
+                        stats.collisions,
+                        stats.busy_slots,
+                    )
+                )
+            assert fingerprints[0] == fingerprints[1]
+            assert fingerprints[0][4] > 0  # the run did real work
+
+    @pytest.mark.parametrize("level_classes", [1, 3])
+    def test_run_collection_identical_with_and_without_fast_path(
+        self, monkeypatch, level_classes
+    ):
+        graph = layered_band(5, 3)
+        tree = reference_bfs_tree(graph, 0)
+        sources = {v: [f"m{v}"] for v in graph.nodes if v % 3 == 2}
+        original_init = RadioNetwork.__init__
+        results = []
         for idle in (True, False):
-            network, processes, _ = build_collection_network(
-                graph, tree, sources, seed=seed
+
+            def init(net, *args, idle=idle, **kwargs):
+                original_init(net, *args, **kwargs)
+                net.idle_scheduling = idle
+
+            monkeypatch.setattr(RadioNetwork, "__init__", init)
+            result = run_collection(
+                graph, tree, sources, seed=4, level_classes=level_classes
             )
-            network.idle_scheduling = idle
-            network.run(2_000)
-            stats = network.stats.channel(0)
-            fingerprints.append(
+            results.append(
                 (
-                    [m.msg_id for m in processes[tree.root].delivered],
-                    [p.lane.backlog for p in processes.values()],
-                    stats.transmissions,
-                    stats.deliveries,
-                    stats.collisions,
+                    result.slots,
+                    [m.msg_id for m in result.delivered],
+                    result.stats.as_dict(),
                 )
             )
-        assert fingerprints[0] == fingerprints[1]
-        assert fingerprints[0][3] > 0  # the run did real work
+        assert results[0] == results[1]
 
     def test_reactive_submission_wakes_the_source(self):
         # run_collection drains, then a mid-run submit must restart the

@@ -122,6 +122,46 @@ class TestSlotStructure:
             SlotStructure(decay_budget=2, level_classes=0)
 
 
+class TestArithmeticFastPaths:
+    """The per-slot queries are plain arithmetic; ``decode`` is the spec.
+
+    Every slot of three phases, at every level of two full cycles of
+    level classes, must get the answer ``decode`` implies.
+    """
+
+    @pytest.mark.parametrize("with_acks", [True, False])
+    @pytest.mark.parametrize("classes", [1, 2, 3])
+    @pytest.mark.parametrize("budget", [1, 2, 6])
+    def test_fast_paths_match_decode(self, budget, classes, with_acks):
+        s = SlotStructure(budget, classes, with_acks)
+        horizon = 3 * s.phase_length
+        infos = [s.decode(slot) for slot in range(horizon + s.phase_length)]
+        for slot in range(horizon):
+            info = infos[slot]
+            assert s.phase_of(slot) == info.phase
+            for level in range(2 * classes):
+                is_data = (
+                    info.kind is SlotKind.DATA
+                    and info.level_class == level % classes
+                )
+                assert s.is_data_slot_for(slot, level) == is_data
+                expected_next = next(
+                    t
+                    for t in range(slot, len(infos))
+                    if infos[t].kind is SlotKind.DATA
+                    and infos[t].level_class == level % classes
+                )
+                assert s.next_data_slot_for(slot, level) == expected_next
+            if with_acks and info.kind is SlotKind.DATA:
+                ack = s.ack_slot_after(slot)
+                assert ack == slot + 1
+                assert infos[ack].kind is SlotKind.ACK
+                assert infos[ack].level_class == info.level_class
+            else:
+                with pytest.raises(ConfigurationError):
+                    s.ack_slot_after(slot)
+
+
 @given(
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=1, max_value=4),
