@@ -196,3 +196,127 @@ def test_e0_idle_scheduling_speedup():
         f"idle-aware loop only {speedup:.1f}x faster at n="
         f"{graph.num_nodes} (floor {IDLE_MIN_SPEEDUP}x)"
     )
+
+
+#: Idle-under-faults bench cell: self-healing collection on a depth-8
+#: binary tree (n = 511) under churn composed with a duty-cycled
+#: jammer.  Crashes and jamming change who is alive or who hears what,
+#: not which slots a station may act in, so the fast path must keep
+#: its win here too.
+IDLE_FAULTS_DEPTH = 8
+IDLE_FAULTS_K = 32
+IDLE_FAULTS_WINDOW = 2_000
+IDLE_FAULTS_MIN_SPEEDUP = 2.0
+
+
+def _idle_faults_model(graph, tree):
+    from repro.radio.failures import (
+        AdversarialJammer,
+        ComposedFailures,
+        MarkovChurn,
+    )
+
+    return ComposedFailures(
+        [
+            MarkovChurn(
+                [v for v in graph.nodes if v != tree.root],
+                fail_rate=0.0005,
+                recover_rate=0.05,
+                seed=ROOT_SEED,
+            ),
+            AdversarialJammer(period=40, duty=6, start=200),
+        ]
+    )
+
+
+def _resilient_fingerprint(network, processes, root, model):
+    """Collection fingerprint plus the repair layer's and the faults'."""
+    fingerprint = _collection_fingerprint(network, processes, root)
+    fingerprint.update(
+        stats=network.stats.as_dict(),
+        repairs=[event for p in processes.values() for event in p.repairs],
+        partitioned=sorted(v for v, p in processes.items() if p.partitioned),
+        churn=model.models[0].churn_events(),
+    )
+    return fingerprint
+
+
+def test_e0_idle_scheduling_under_faults():
+    """The fast path with a failure model attached: same outcomes, faster.
+
+    Both runs execute the same fixed window of resilient collection
+    under the same seeded churn and jammer; only ``idle_scheduling``
+    differs.  The fingerprints, ``down_node_slots`` included, must
+    agree exactly.
+    """
+    from repro.core.repair import build_resilient_collection_network
+
+    graph = balanced_tree(2, IDLE_FAULTS_DEPTH)
+    tree = reference_bfs_tree(graph, 0)
+    deepest = sorted(
+        v for v in tree.nodes if tree.level[v] == IDLE_FAULTS_DEPTH
+    )[:IDLE_FAULTS_K]
+    sources = {v: [f"m{v}"] for v in deepest}
+    runs = {}
+    for idle in (False, True):
+        model = _idle_faults_model(graph, tree)
+        network, processes, _, _ = build_resilient_collection_network(
+            graph, tree, sources, seed=ROOT_SEED, failures=model
+        )
+        network.idle_scheduling = idle
+        started = time.perf_counter()
+        network.run(IDLE_FAULTS_WINDOW)
+        seconds = time.perf_counter() - started
+        runs[idle] = (
+            seconds,
+            _resilient_fingerprint(network, processes, tree.root, model),
+        )
+
+    legacy_seconds, legacy_print = runs[False]
+    idle_seconds, idle_print = runs[True]
+    assert idle_print == legacy_print, (
+        "idle scheduling changed outcomes under a failure model"
+    )
+    # The faults must be real: stations went down, the jammer dropped
+    # deliveries, and traffic still reached the root.
+    assert idle_print["stats"]["down_node_slots"] > 0
+    assert idle_print["stats"]["dropped"] > 0
+    assert len(idle_print["delivered"]) > 0
+
+    legacy_rate = IDLE_FAULTS_WINDOW / legacy_seconds
+    idle_rate = IDLE_FAULTS_WINDOW / idle_seconds
+    speedup = idle_rate / legacy_rate
+    summary = {
+        "experiment": "IDLE_FAULTS",
+        "title": "idle-aware slot loop vs poll-every-process, under faults",
+        "cell": {
+            "topology": f"btree-2x{IDLE_FAULTS_DEPTH}",
+            "stations": graph.num_nodes,
+            "k": IDLE_FAULTS_K,
+            "window_slots": IDLE_FAULTS_WINDOW,
+            "faults": "churn(0.0005, 0.05) + jammer(40, 6)",
+            "seed": ROOT_SEED,
+        },
+        "legacy": {
+            "seconds": round(legacy_seconds, 3),
+            "slots_per_sec": round(legacy_rate, 1),
+        },
+        "idle": {
+            "seconds": round(idle_seconds, 3),
+            "slots_per_sec": round(idle_rate, 1),
+        },
+        "down_node_slots": idle_print["stats"]["down_node_slots"],
+        "speedup": round(speedup, 2),
+        "min_speedup": IDLE_FAULTS_MIN_SPEEDUP,
+    }
+    out = bench_results_dir() / "BENCH_IDLE_FAULTS.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(summary, indent=2) + "\n")
+    print(
+        f"\nE0-idle-faults: legacy {legacy_rate:.0f} slots/s, idle-aware "
+        f"{idle_rate:.0f} slots/s, speedup {speedup:.1f}x -> {out}"
+    )
+    assert speedup >= IDLE_FAULTS_MIN_SPEEDUP, (
+        f"idle-aware loop only {speedup:.1f}x faster under faults at n="
+        f"{graph.num_nodes} (floor {IDLE_FAULTS_MIN_SPEEDUP}x)"
+    )

@@ -46,6 +46,7 @@ from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.radio.failures import FailureModel
 from repro.radio.network import RadioNetwork
+from repro.radio.process import QUIET_FOREVER
 from repro.radio.trace import EventTrace, NetworkStats
 
 
@@ -229,11 +230,24 @@ class ResilientCollectionProcess(CollectionProcess):
             self._repair(slot)
 
     def quiet_until(self, slot: int) -> int:
-        # The per-slot watchdog in on_slot_end must observe every slot;
-        # opt back out of the inherited lane-based idle declaration.
-        # (Resilient runs attach a failure model, which disables the idle
-        # fast path anyway — this keeps the contract honest regardless.)
-        return slot
+        # The lane's next active slot, or the watchdog's next firing slot
+        # if sooner.  ``failed_attempts`` only changes at a phase
+        # boundary, at this station's own data slot (a new attempt: the
+        # lane wakes it there) or on a reception (which re-wakes it).  So
+        # once the current attempt is the ``suspect_after``-th, the
+        # watchdog fires where that attempt counts as failed — now, if it
+        # already does.
+        if self.partitioned:
+            return QUIET_FOREVER
+        lane = self.lane
+        wake = lane.next_active_slot(slot)
+        if (
+            lane.buffer
+            and not self.info.is_root
+            and lane.head_attempts >= self.policy.suspect_after
+        ):
+            wake = min(wake, max(slot, lane.attempt_fails_at()))
+        return wake
 
     # ------------------------------------------------------------------
     # Repair
@@ -432,7 +446,7 @@ def run_resilient_collection(
     total = sum(len(v) for v in sources.values())
     if max_slots is None:
         bound = expected_collection_slots(
-            total, tree.depth, graph.max_degree()
+            total, tree.depth, graph.max_degree(), level_classes
         )
         max_slots = max(20_000, int(40 * bound))
     blocked_since: Dict[NodeId, int] = {}

@@ -277,6 +277,15 @@ class TransportLane:
             return self.head_attempts
         return max(0, self.head_attempts - 1)
 
+    def attempt_fails_at(self) -> int:
+        """The slot from which the current attempt counts as failed.
+
+        That is the first slot of the phase after the attempt's own:
+        absent an acknowledgement, :meth:`failed_attempts` reaches
+        ``head_attempts`` there.
+        """
+        return self.slots.first_slot_of_phase(self._attempt_phase + 1)
+
     def retarget(self, new_dest: NodeId, new_level: Optional[int] = None) -> None:
         """Re-address all buffered traffic to a new next hop.
 

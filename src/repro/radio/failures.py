@@ -14,6 +14,11 @@ import random
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.graphs.graph import NodeId
+from repro.radio.process import QUIET_FOREVER
+
+#: A station's crash state over a run of slots: ``(down, until)`` — it is
+#: down (or up) at the queried slot and stays so through ``until - 1``.
+CrashSpan = Tuple[bool, int]
 
 
 class FailureModel:
@@ -26,6 +31,25 @@ class FailureModel:
         in the topology (its presence cannot cause collisions while down).
         """
         return False
+
+    def crash_span(self, node: NodeId, slot: int) -> CrashSpan:
+        """``node``'s crash state at ``slot`` and how long it lasts.
+
+        Returns ``(down, until)``: ``down`` is :meth:`node_down` at
+        ``slot``, and ``until > slot`` is the first later slot at which
+        that state may change (:data:`~repro.radio.process.QUIET_FOREVER`
+        if it never does).  The engine keeps stations on a heap keyed by
+        ``until`` and re-queries a station only when its span ends, so a
+        slot's crash bookkeeping costs what changes in it, not n.
+
+        Queries follow the engine's clock: per station, ``slot`` never
+        decreases.  The default is exact for any subclass: a model that
+        does not override :meth:`node_down` never crashes anyone, and
+        one that does is re-queried every slot.
+        """
+        if type(self).node_down is FailureModel.node_down:
+            return False, QUIET_FOREVER
+        return self.node_down(node, slot), slot + 1
 
     def drop_delivery(
         self, sender: NodeId, receiver: NodeId, slot: int
@@ -60,6 +84,23 @@ class CrashSchedule(FailureModel):
                 return True
         return False
 
+    def crash_span(self, node: NodeId, slot: int) -> CrashSpan:
+        # Spans may overlap, so the down run is extended through every
+        # outage that starts before it ends; the up run ends at the next
+        # outage start.
+        down, until = False, QUIET_FOREVER
+        for start, end in self._outages.get(node, ()):
+            if down:
+                if start > until:
+                    break
+                until = max(until, end)
+            elif start <= slot < end:
+                down, until = True, end
+            elif start > slot:
+                until = start
+                break
+        return down, until
+
 
 class BernoulliLinkLoss(FailureModel):
     """Each would-be delivery is independently lost with probability p."""
@@ -88,6 +129,11 @@ class PermanentCrashes(FailureModel):
     def node_down(self, node: NodeId, slot: int) -> bool:
         return node in self.crashed and slot >= self.from_slot
 
+    def crash_span(self, node: NodeId, slot: int) -> CrashSpan:
+        if node not in self.crashed or slot >= self.from_slot:
+            return node in self.crashed, QUIET_FOREVER
+        return False, self.from_slot
+
 
 class ComposedFailures(FailureModel):
     """Union of several failure models (any says down/drop => down/drop)."""
@@ -97,6 +143,14 @@ class ComposedFailures(FailureModel):
 
     def node_down(self, node: NodeId, slot: int) -> bool:
         return any(m.node_down(node, slot) for m in self.models)
+
+    def crash_span(self, node: NodeId, slot: int) -> CrashSpan:
+        down, until = False, QUIET_FOREVER
+        for model in self.models:
+            model_down, model_until = model.crash_span(node, slot)
+            down = down or model_down
+            until = min(until, model_until)
+        return down, until
 
     def drop_delivery(
         self, sender: NodeId, receiver: NodeId, slot: int

@@ -7,7 +7,8 @@ from typing import FrozenSet, Iterable, Optional
 from repro.errors import ConfigurationError
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import NodeId
-from repro.radio.failures import FailureModel
+from repro.radio.failures import CrashSpan, FailureModel
+from repro.radio.process import QUIET_FOREVER
 
 
 class RegionOutage(FailureModel):
@@ -38,6 +39,17 @@ class RegionOutage(FailureModel):
         if node not in self.region or slot < self.start:
             return False
         return self.end is None or slot < self.end
+
+    def crash_span(self, node: NodeId, slot: int) -> CrashSpan:
+        if node not in self.region:
+            return False, QUIET_FOREVER
+        if slot < self.start:
+            return False, self.start
+        if self.end is None:
+            return True, QUIET_FOREVER
+        if slot < self.end:
+            return True, self.end
+        return False, QUIET_FOREVER
 
 
 def subtree_outage(

@@ -30,8 +30,18 @@ a process immediately, so reactive traffic is never delayed.  Processes
 that do not implement the hint are polled every slot, exactly as before.
 A slot in which no station is due costs only the wake-heap check: the
 engine advances the clock and the counters and returns.
-The fast path is bypassed whenever a failure model is attached (crash
-schedules must be consulted per slot) or ``idle_scheduling`` is False.
+
+Failure models keep the fast path.  A crash changes who is alive, not
+which slots a station may act in, so crash state gets its own event
+heap: :meth:`~repro.radio.failures.FailureModel.crash_span` tells how
+long a station stays up or down, and the engine re-queries a station
+only when its span ends.  A station that is due while down is re-queued
+for the end of its crash span; a down station hears nothing.  Due
+stations act in attach order, as in the poll-every-process loop, so
+outcomes do not depend on ``idle_scheduling`` even where that order is
+observable (a shared loss RNG, repairs that read neighbours' state).
+Setting ``idle_scheduling`` to False is the only way back to polling
+every station every slot.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from __future__ import annotations
 import heapq
 import random
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import profiling
 from repro.errors import ConfigurationError, ProtocolError, SimulationTimeout
@@ -118,7 +128,6 @@ class RadioNetwork:
             )
         self.num_channels = num_channels
         self.trace = trace
-        self.failures = failures
         self.capture_effect = capture_effect
         self.collision_detection = collision_detection
         self._capture_rng = (
@@ -128,15 +137,39 @@ class RadioNetwork:
         self.stats = NetworkStats()
         self.profiler = profiling.current_profile()
         self.idle_scheduling = True
-        # Wake bookkeeping for the idle fast path: ``_wake`` maps each
-        # station to its authoritative next wake slot; ``_wake_heap``
-        # holds (wake, node) entries, lazily invalidated (an entry whose
-        # wake no longer matches ``_wake`` is stale and discarded on pop).
+        # Wake bookkeeping for the idle fast path: ``_order`` lists the
+        # stations in attach order and ``_rank`` inverts it; ``_wake``
+        # maps each station to its authoritative next wake slot;
+        # ``_wake_heap`` holds (wake, rank) entries, lazily invalidated
+        # (an entry whose wake no longer matches ``_wake`` is stale and
+        # discarded on pop).
+        self._order: List[NodeId] = []
+        self._rank: Dict[NodeId, int] = {}
         self._wake: Dict[NodeId, int] = {}
-        self._wake_heap: List[Tuple[int, NodeId]] = []
+        self._wake_heap: List[Tuple[int, int]] = []
         self._wake_valid = False
+        # Crash bookkeeping for the same path: the stations down this
+        # slot, when each one's crash span ends, and a (span end, rank)
+        # heap with exactly one entry per station whose state may change.
+        self._down: Set[NodeId] = set()
+        self._crash_until: Dict[NodeId, int] = {}
+        self._crash_heap: List[Tuple[int, int]] = []
+        self._crash_valid = False
         self._processes: Dict[NodeId, Process] = {}
+        self.failures = failures
         self.graph = graph
+
+    @property
+    def failures(self) -> Optional[FailureModel]:
+        return self._failures
+
+    @failures.setter
+    def failures(self, failures: Optional[FailureModel]) -> None:
+        # A new model may revive a station the old one had queued for
+        # the end of its crash span: re-poll everyone from the next slot
+        # (re-arming the wake heap re-arms the crash heap too).
+        self._failures = failures
+        self._wake_valid = False
 
     @property
     def graph(self) -> Graph:
@@ -151,8 +184,9 @@ class RadioNetwork:
         #   graph per slot;
         # * the full-attachment check — an O(n) set difference, re-armed
         #   so a swapped topology is re-validated before the next step;
-        # * the wake heap — a swapped topology may change who can hear
-        #   whom, so every station is re-polled from the next slot.
+        # * the wake and crash heaps — a swapped topology may change who
+        #   can hear whom, so every station is re-polled from the next
+        #   slot.
         self._graph = graph
         self._attachment_validated = False
         self._wake_valid = False
@@ -211,15 +245,48 @@ class RadioNetwork:
         slot = self.slot
         if self._wake.get(node, slot) > slot:
             self._wake[node] = slot
-            heapq.heappush(self._wake_heap, (slot, node))
+            heapq.heappush(self._wake_heap, (slot, self._rank[node]))
 
     def _rebuild_wake(self) -> None:
-        """Re-arm the wake heap: every station polls at the current slot."""
+        """Re-arm the wake heap: every station polls at the current slot.
+
+        Ranks may have changed, so the crash heap is re-armed too.
+        """
         slot = self.slot
-        self._wake = {node: slot for node in self._processes}
-        self._wake_heap = [(slot, node) for node in self._processes]
-        heapq.heapify(self._wake_heap)
+        self._order = list(self._processes)
+        self._rank = {node: rank for rank, node in enumerate(self._order)}
+        self._wake = dict.fromkeys(self._order, slot)
+        self._wake_heap = [(slot, rank) for rank in range(len(self._order))]
         self._wake_valid = True
+        self._crash_valid = False
+
+    def _update_crashes(self, slot: int) -> None:
+        """Re-query the stations whose crash span ended by ``slot``."""
+        failures = self._failures
+        assert failures is not None
+        heap = self._crash_heap
+        if not self._crash_valid:
+            self._down = set()
+            self._crash_until = {}
+            heap = self._crash_heap = [
+                (slot, rank) for rank in range(len(self._order))
+            ]
+            self._crash_valid = True
+        order = self._order
+        down = self._down
+        crash_until = self._crash_until
+        crash_span = failures.crash_span
+        while heap and heap[0][0] <= slot:
+            rank = heapq.heappop(heap)[1]
+            node = order[rank]
+            is_down, until = crash_span(node, slot)
+            if is_down:
+                down.add(node)
+                crash_until[node] = until
+            else:
+                down.discard(node)
+            if until < QUIET_FOREVER:
+                heapq.heappush(heap, (until, rank))
 
     # ------------------------------------------------------------------
     # The slot loop
@@ -238,28 +305,45 @@ class RadioNetwork:
         if not self._attachment_validated:
             self._require_fully_attached()
         slot = self.slot
-        failures = self.failures
+        failures = self._failures
         processes = self._processes
         profiler = self.profiler
         stats = self.stats
         mark = profiler.clock() if profiler is not None else 0.0
 
-        # The fast path needs per-slot crash schedules out of the way
-        # (a sleeping station must still crash on time for the stats and
-        # the collision semantics), so any failure model disables it.
-        # Stations acting this slot, in deterministic wake order (polled
-        # now, or woken later by a reception); None = everyone, legacy.
+        # Stations acting this slot: the due ones in attach order, then
+        # those woken by a reception; None = everyone, legacy.  Legacy
+        # asks the failure model about every station every slot; the
+        # fast path keeps ``_down`` current from the crash heap instead.
         awake: Optional[Dict[NodeId, None]] = None
-        if self.idle_scheduling and failures is None:
+        down_nodes = _NOBODY
+        query: Optional[FailureModel] = None
+        if self.idle_scheduling:
             if not self._wake_valid:
                 self._rebuild_wake()
+            if failures is not None:
+                crash_heap = self._crash_heap
+                if not self._crash_valid or (
+                    crash_heap and crash_heap[0][0] <= slot
+                ):
+                    self._update_crashes(slot)
+                down_nodes = self._down
+                stats.down_node_slots += len(down_nodes)
             awake = {}
             heap = self._wake_heap
             wake = self._wake
+            order = self._order
             while heap and heap[0][0] <= slot:
-                entry_wake, node = heapq.heappop(heap)
-                if node in awake or wake.get(node) != entry_wake:
+                entry_wake, rank = heapq.heappop(heap)
+                node = order[rank]
+                if node in awake or wake[node] != entry_wake:
                     continue  # stale entry: rescheduled since it was pushed
+                if node in down_nodes:
+                    # Crashed when due: nothing to do until it revives.
+                    revive = wake[node] = self._crash_until[node]
+                    if revive < QUIET_FOREVER:
+                        heapq.heappush(heap, (revive, rank))
+                    continue
                 awake[node] = None
             if not awake:
                 # No station is due, so nobody transmits and nobody can
@@ -276,6 +360,9 @@ class RadioNetwork:
             poll = awake
         else:
             poll = processes
+            if failures is not None:
+                down_nodes = set()
+                query = failures
 
         # Phase 1: gather transmission intents.  A channel's sender dict
         # (station -> payload) is created on its first transmission; its
@@ -285,9 +372,8 @@ class RadioNetwork:
         transmitters: List[Optional[Dict[NodeId, object]]] = [
             None
         ] * num_channels
-        down_nodes = set() if failures is not None else _NOBODY
         for node in poll:
-            if failures is not None and failures.node_down(node, slot):
+            if query is not None and query.node_down(node, slot):
                 down_nodes.add(node)
                 stats.down_node_slots += 1
                 continue
@@ -391,6 +477,7 @@ class RadioNetwork:
         if awake is not None:
             wake = self._wake
             heap = self._wake_heap
+            rank = self._rank
             next_slot = slot + 1
             for node in awake:
                 process = processes[node]
@@ -400,7 +487,7 @@ class RadioNetwork:
                     wake_at = next_slot
                 wake[node] = wake_at
                 if wake_at < QUIET_FOREVER:
-                    heapq.heappush(heap, (wake_at, node))
+                    heapq.heappush(heap, (wake_at, rank[node]))
         else:
             for node, process in processes.items():
                 if node not in down_nodes:

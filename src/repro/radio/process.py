@@ -82,6 +82,13 @@ class Process:
         for the current slot, so reactive behaviour is never delayed.
         Return :data:`QUIET_FOREVER` for "silent until spoken to".
 
+        Under a failure model a crashed station gets no callbacks at
+        all.  If it is down in the slot it is due, the engine re-polls
+        it in the first slot its crash span ends (see
+        :meth:`~repro.radio.failures.FailureModel.crash_span`) — the
+        first slot in which the poll-every-process loop would have
+        called it again.
+
         The default returns ``slot`` — no declaration, polled every
         slot — so subclasses are unaffected unless they opt in.  The
         paper's slot structure makes exact declarations easy: a node at

@@ -25,6 +25,7 @@ from repro.radio import (
     Transmission,
     subtree_outage,
 )
+from repro.radio.process import QUIET_FOREVER
 
 
 class TestComposition:
@@ -77,6 +78,71 @@ class TestCrashScheduleBoundaries:
             CrashSchedule({0: [(7, 7)]})
 
 
+class NodeDownOnly(FailureModel):
+    def node_down(self, node, slot):
+        return (node + slot) % 3 == 0
+
+
+class TestCrashSpan:
+    """``crash_span`` agrees with ``node_down`` over the whole span."""
+
+    HORIZON = 120
+
+    def walk(self, model, node, exact=True):
+        slot = 0
+        while slot < self.HORIZON:
+            down, until = model.crash_span(node, slot)
+            assert until > slot
+            assert all(
+                model.node_down(node, s) == down
+                for s in range(slot, min(until, self.HORIZON))
+            )
+            if until >= QUIET_FOREVER:
+                return
+            if exact:  # the span ends where the state really changes
+                assert model.node_down(node, until) != down
+            slot = until
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            CrashSchedule({1: [(5, 10), (8, 20), (20, 25), (40, 50)]}),
+            PermanentCrashes({1}, from_slot=7),
+            RegionOutage({1}, start=10, end=30),
+            RegionOutage({1}, start=10),
+        ],
+        ids=["schedule", "permanent", "region", "region-forever"],
+    )
+    def test_scripted_models_return_exact_boundaries(self, model):
+        for node in (1, 2):
+            self.walk(model, node)
+
+    def test_models_without_crashes_are_up_forever(self):
+        for model in (
+            FailureModel(),
+            AdversarialJammer(period=4, duty=2),
+            BernoulliLinkLoss(0.5, random.Random(0)),
+            GilbertElliott(p_bad=0.1, p_good=0.1),
+        ):
+            assert model.crash_span(1, 9) == (False, QUIET_FOREVER)
+
+    def test_node_down_only_subclass_is_requeried_every_slot(self):
+        model = NodeDownOnly()
+        assert model.crash_span(1, 2) == (True, 3)
+        assert model.crash_span(1, 3) == (False, 4)
+
+    def test_composition_takes_any_down_and_earliest_end(self):
+        model = ComposedFailures(
+            [CrashSchedule({1: [(5, 10)]}), RegionOutage({1}, start=8)]
+        )
+        assert model.crash_span(1, 0) == (False, 5)
+        # Still down at 8, but the region outage's span starts there.
+        assert model.crash_span(1, 6) == (True, 8)
+        assert model.crash_span(1, 8) == (True, 10)
+        assert model.crash_span(1, 12) == (True, QUIET_FOREVER)
+        self.walk(model, 1, exact=False)
+
+
 class TestMarkovChurn:
     def test_unlisted_nodes_never_fail(self):
         model = MarkovChurn([1], fail_rate=1.0, recover_rate=0.0, seed=0)
@@ -115,6 +181,39 @@ class TestMarkovChurn:
         )
         assert model.node_down(1, 0)
         assert model.node_down(1, 500)  # recover_rate 0: never comes back
+
+    def test_start_down_accepts_a_generator(self):
+        model = MarkovChurn(
+            [1, 2],
+            fail_rate=0.0,
+            recover_rate=0.0,
+            seed=0,
+            start_down=(v for v in [2]),
+        )
+        assert model.node_down(2, 0)
+        assert not model.node_down(1, 0)
+
+    def test_crash_span_matches_node_down(self):
+        model = MarkovChurn([1, 2], 0.05, 0.2, seed=5, start_down=[2])
+        reference = MarkovChurn([1, 2], 0.05, 0.2, seed=5, start_down=[2])
+        for node in (1, 2):
+            slot = 0
+            while slot < 1_000:
+                down, until = model.crash_span(node, slot)
+                assert until > slot
+                for s in range(slot, min(until, 1_000)):
+                    assert reference.node_down(node, s) == down
+                slot = until
+        assert model.churn_events() == reference.churn_events()
+
+    def test_churn_events_stop_at_the_latest_query(self):
+        model = MarkovChurn([1], 0.2, 0.2, seed=3)
+        down, until = model.crash_span(1, 0)
+        # The look-ahead found the flip at ``until``, but nobody has
+        # reached that slot yet.
+        assert until < 64 and model.churn_events() == []
+        model.node_down(1, until)
+        assert model.churn_events() == [(until, 1, not down)]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

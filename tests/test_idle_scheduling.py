@@ -4,10 +4,12 @@ The engine may skip a process's callbacks exactly while a
 ``quiet_until`` declaration is outstanding and nothing was delivered to
 it; these tests pin that contract from both sides — silent slots are
 skipped, receptions and external :meth:`Process.wake` pokes re-wake
-immediately, failure models disable the fast path, and protocol
-outcomes are bit-identical with the fast path on or off.
+immediately, crashed stations sleep through their crash spans, and
+protocol outcomes are bit-identical with the fast path on or off, with
+or without a failure model.
 """
 
+import random
 from types import MappingProxyType
 
 import pytest
@@ -18,8 +20,15 @@ from repro.core import (
     build_collection_network,
     run_collection,
 )
+from repro.core.repair import run_resilient_collection
 from repro.core.transport import TransportLane
-from repro.graphs import balanced_tree, layered_band, path, reference_bfs_tree
+from repro.graphs import (
+    Graph,
+    balanced_tree,
+    layered_band,
+    path,
+    reference_bfs_tree,
+)
 from repro.radio import (
     PermanentCrashes,
     Process,
@@ -27,6 +36,16 @@ from repro.radio import (
     ScriptedProcess,
     SilentProcess,
     Transmission,
+)
+from repro.radio.failures import (
+    AdversarialJammer,
+    BernoulliLinkLoss,
+    ComposedFailures,
+    CrashSchedule,
+    FailureModel,
+    GilbertElliott,
+    MarkovChurn,
+    subtree_outage,
 )
 from repro.radio.process import QUIET_FOREVER
 from repro.rng import RngFactory
@@ -113,18 +132,22 @@ class TestQuietUntil:
         net.run(3)
         assert sleeper.polled == [0, 5, 6, 7]
 
-    def test_failure_model_disables_fast_path(self):
-        # Crash schedules are consulted per station per slot, so the
-        # engine must fall back to polling everyone.
+    def test_failure_model_keeps_fast_path(self):
+        # A crash changes who is alive, not which slots a station acts
+        # in: the quiet station stays asleep, the crashed one is neither
+        # polled nor ended, and the down counter stays exact.
         net = RadioNetwork(
             path(3), failures=PermanentCrashes({2}, from_slot=4)
         )
         periodic = CountingProcess(0, period=10)
+        crashed = CountingProcess(2)
         net.attach(periodic)
         net.attach(CountingProcess(1))
-        net.attach(CountingProcess(2))
+        net.attach(crashed)
         net.run(20)
-        assert periodic.polled == list(range(20))
+        assert periodic.polled == [0, 10]
+        assert crashed.polled == [0, 1, 2, 3]
+        assert crashed.ended == [0, 1, 2, 3]
         assert net.stats.down_node_slots == 16
 
     def test_graph_swap_reawakens_everyone(self):
@@ -327,6 +350,176 @@ class TestProtocolEquivalence:
         )
         assert [m.payload for m in root.delivered] == ["first", "second"]
         assert network.slot > quiet_start
+
+
+class ReversedGraph(Graph):
+    """A topology whose stations iterate in descending order.
+
+    Stations are attached in ``graph.nodes`` order, so here attach order
+    and node order disagree: the order stations act in within a slot is
+    observable to a shared loss RNG and to repairs.
+    """
+
+    @property
+    def nodes(self):
+        return tuple(reversed(Graph.nodes.fget(self)))
+
+
+class NodeDownOnly(FailureModel):
+    """A crash model that overrides only ``node_down``."""
+
+    def __init__(self, root):
+        self.root = root
+
+    def node_down(self, node, slot):
+        return node != self.root and (3 * node + slot // 41) % 7 == 0
+
+
+def _non_root(graph, tree):
+    return [v for v in graph.nodes if v != tree.root]
+
+
+def _deep(tree, rank):
+    """The ``rank``-th station of the deepest level (wrapping)."""
+    deepest = sorted(v for v in tree.nodes if tree.level[v] == tree.depth)
+    return deepest[rank % len(deepest)]
+
+
+#: Every shipped failure model, plus a subclass relying on the default
+#: ``crash_span``; each factory gets (graph, tree, seed).
+FAILURE_MODELS = {
+    "churn": lambda g, t, s: MarkovChurn(
+        _non_root(g, t), fail_rate=0.01, recover_rate=0.1, seed=s
+    ),
+    "crash-schedule": lambda g, t, s: CrashSchedule(
+        {
+            t.children[t.root][0]: [(20, 120), (100, 260)],
+            _deep(t, s): [(0, 40)],
+        }
+    ),
+    "permanent": lambda g, t, s: PermanentCrashes(
+        [t.children[t.root][-1]], from_slot=50
+    ),
+    "subtree-outage": lambda g, t, s: subtree_outage(
+        t, t.children[t.root][0], start=30
+    ),
+    "jammer": lambda g, t, s: AdversarialJammer(
+        period=20, duty=9, start=10, end=600
+    ),
+    "gilbert-elliott": lambda g, t, s: GilbertElliott(
+        p_bad=0.05, p_good=0.2, seed=s
+    ),
+    "bernoulli": lambda g, t, s: BernoulliLinkLoss(0.25, random.Random(s)),
+    "composed": lambda g, t, s: ComposedFailures(
+        [
+            MarkovChurn(
+                _non_root(g, t), fail_rate=0.005, recover_rate=0.2, seed=s
+            ),
+            AdversarialJammer(period=30, duty=6, offset=s % 30),
+        ]
+    ),
+    "node-down-only": lambda g, t, s: NodeDownOnly(t.root),
+}
+
+MATRIX_TOPOLOGIES = {
+    "band-4x3": lambda: layered_band(4, 3),
+    "btree-2x3": lambda: balanced_tree(2, 3),
+    "reversed-band-3x4": lambda: ReversedGraph(
+        {v: layered_band(3, 4).neighbors(v) for v in range(12)}
+    ),
+}
+
+
+def _churn_events(model):
+    models = getattr(model, "models", (model,))
+    return [m.churn_events() for m in models if isinstance(m, MarkovChurn)]
+
+
+def _resilient_fingerprint(monkeypatch, topology, model_name, seed, idle):
+    """Everything observable about one self-healing collection run."""
+    graph = MATRIX_TOPOLOGIES[topology]()
+    tree = reference_bfs_tree(graph, 0)
+    sources = {
+        v: [f"m{v}-{i}" for i in range(2)]
+        for v in graph.nodes
+        if tree.level[v] >= 2
+    }
+    model = FAILURE_MODELS[model_name](graph, tree, seed)
+    original_init = RadioNetwork.__init__
+
+    def init(net, *args, **kwargs):
+        original_init(net, *args, **kwargs)
+        net.idle_scheduling = idle
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RadioNetwork, "__init__", init)
+        result = run_resilient_collection(
+            graph,
+            tree,
+            sources,
+            seed=seed,
+            failures=model,
+            max_slots=4_000,
+            down_grace_slots=300,
+        )
+    return {
+        "slots": result.slots,
+        "delivered": [m.msg_id for m in result.delivered],
+        "stats": result.stats.as_dict(),
+        "repairs": result.repairs,
+        "partitioned": result.declared_partitioned,
+        "timed_out": result.timed_out,
+        "churn": _churn_events(model),
+    }
+
+
+class TestFailureEquivalence:
+    """The fast path under every failure model: identical outcomes."""
+
+    def test_matrix_identical_with_and_without_fast_path(self, monkeypatch):
+        totals = {"repairs": 0, "partitioned": 0, "dropped": 0, "down": 0}
+        for topology in MATRIX_TOPOLOGIES:
+            for model_name in FAILURE_MODELS:
+                for seed in (1, 2):
+                    idle, legacy = (
+                        _resilient_fingerprint(
+                            monkeypatch, topology, model_name, seed, flag
+                        )
+                        for flag in (True, False)
+                    )
+                    assert idle == legacy, (topology, model_name, seed)
+                    totals["repairs"] += len(idle["repairs"])
+                    totals["partitioned"] += len(idle["partitioned"])
+                    totals["dropped"] += idle["stats"]["dropped"]
+                    totals["down"] += idle["stats"]["down_node_slots"]
+        # The matrix must exercise what it claims to cover.
+        assert all(count > 0 for count in totals.values()), totals
+
+    def test_crash_heap_follows_a_reassigned_model(self):
+        net = RadioNetwork(path(3), failures=PermanentCrashes({2}))
+        procs = [CountingProcess(v) for v in range(3)]
+        for proc in procs:
+            net.attach(proc)
+        net.run(5)
+        net.failures = PermanentCrashes({1})
+        net.run(5)
+        net.failures = None
+        net.run(5)
+        assert procs[2].polled == list(range(5, 15))
+        assert procs[1].polled == list(range(5)) + list(range(10, 15))
+        assert net.stats.down_node_slots == 10
+
+    def test_down_station_is_repolled_when_its_span_ends(self):
+        net = RadioNetwork(
+            path(2), failures=CrashSchedule({1: [(3, 8)]})
+        )
+        sleeper = CountingProcess(1, period=5)
+        net.attach(CountingProcess(0, period=QUIET_FOREVER))
+        net.attach(sleeper)
+        net.run(12)
+        # Due at 5 while down: re-queued for the end of the span, 8.
+        assert sleeper.polled == [0, 8, 10]
+        assert net.stats.down_node_slots == 5
 
 
 class TestProcessesView:

@@ -169,6 +169,33 @@ class TestPartition:
         assert result.partition_recall == 1.0
 
 
+class TestSlotBudget:
+    @pytest.mark.parametrize("level_classes", [1, 3])
+    def test_default_budget_is_40x_the_multiplexed_bound(self, level_classes):
+        from repro.core.collection import expected_collection_slots
+        from repro.radio.failures import PermanentCrashes
+
+        # The only source is down for good, so the run can only stop at
+        # its slot budget.
+        graph = path(4)
+        tree = reference_bfs_tree(graph, 0)
+        result = run_resilient_collection(
+            graph,
+            tree,
+            {3: ["a", "b", "c", "d"]},
+            seed=1,
+            failures=PermanentCrashes([3]),
+            level_classes=level_classes,
+        )
+        bound = expected_collection_slots(
+            4, tree.depth, graph.max_degree(), level_classes
+        )
+        assert result.timed_out
+        assert result.slots == max(20_000, int(40 * bound))
+        if level_classes == 3:
+            assert result.slots > 20_000  # the level classes count
+
+
 class TestNeighborRegistry:
     def test_candidate_filtering(self):
         graph, tree = diamond()
