@@ -125,15 +125,18 @@ class CollectionProcess(Process):
         # active slot is an exact idle declaration (see Process.quiet_until).
         return self.lane.next_active_slot(slot)
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
+    def on_receive(self, slot: int, channel: int, payload: Any) -> bool:
+        # Returns False for receptions that change nothing — other
+        # channels and hops designated to someone else — so the engine
+        # leaves this station asleep (on_slot_end is the base no-op).
         if channel != self.channel:
-            return
+            return False
         if isinstance(payload, DataMessage):
             if payload.hop_dest != self.info.node_id:
-                return  # overheard someone else's hop; not ours to ack
+                return False  # overheard someone else's hop; not ours to ack
             is_new = self.lane.accept_data(slot, payload)
             if not is_new:
-                return
+                return True  # a duplicate still schedules its ack
             if self.info.is_root:
                 self.delivered.append(payload)
             else:
@@ -141,9 +144,13 @@ class CollectionProcess(Process):
                     payload.rehop(self.info.node_id, self.parent),
                     received_at_slot=slot,
                 )
-        elif isinstance(payload, AckMessage):
-            if payload.hop_dest == self.info.node_id:
-                self.lane.accept_ack(payload)
+            return True
+        if isinstance(payload, AckMessage) and (
+            payload.hop_dest == self.info.node_id
+        ):
+            self.lane.accept_ack(payload)
+            return True
+        return False
 
     def is_done(self) -> bool:
         """Locally drained: no buffered messages, no ack duty."""

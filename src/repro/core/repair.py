@@ -211,16 +211,17 @@ class ResilientCollectionProcess(CollectionProcess):
             return None
         return super().on_slot(slot)
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
+    def on_receive(self, slot: int, channel: int, payload: Any) -> bool:
         if self.partitioned:
-            return
+            return False
         backlog_before = self.lane.backlog
-        super().on_receive(slot, channel, payload)
+        changed = super().on_receive(slot, channel, payload)
         if self.lane.backlog < backlog_before:
             # Upward progress: the current parent is demonstrably alive,
             # so forgive past suspicions (they may have been collisions or
             # transient churn, and a revived neighbor is a candidate again).
             self._suspected.clear()
+        return changed
 
     def on_slot_end(self, slot: int) -> None:
         if self.partitioned or self.info.is_root:
@@ -233,10 +234,12 @@ class ResilientCollectionProcess(CollectionProcess):
         # The lane's next active slot, or the watchdog's next firing slot
         # if sooner.  ``failed_attempts`` only changes at a phase
         # boundary, at this station's own data slot (a new attempt: the
-        # lane wakes it there) or on a reception (which re-wakes it).  So
-        # once the current attempt is the ``suspect_after``-th, the
-        # watchdog fires where that attempt counts as failed — now, if it
-        # already does.
+        # lane wakes it there) or on a designated reception (which
+        # re-wakes it; an overheard one changes nothing and leaves it
+        # asleep).  So once the current attempt is the
+        # ``suspect_after``-th, the watchdog fires where that attempt
+        # counts as failed — now, if it already does.  That makes
+        # ``on_slot_end`` a no-op on every slot this declaration skips.
         if self.partitioned:
             return QUIET_FOREVER
         lane = self.lane

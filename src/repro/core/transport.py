@@ -29,7 +29,15 @@ from repro.core.decay import DecaySession
 
 
 class SessionLike(_Protocol):
-    """What a per-phase retransmission session must provide."""
+    """What a per-phase retransmission session must provide.
+
+    ``alive`` turning False must be final for the phase: from then on
+    ``should_transmit`` returns False without drawing a coin.
+    """
+
+    @property
+    def alive(self) -> bool:  # pragma: no cover - protocol
+        ...
 
     def should_transmit(self) -> bool:  # pragma: no cover - protocol
         ...
@@ -399,20 +407,33 @@ class TransportLane:
 
         The lane's activity is fully slot-determined: a scheduled ack
         fires at its due slot, and buffered data may only be transmitted
-        in this level class's data slots (§2.2) — every Decay session
+        in this level class's data slots (§2.2) — a Decay session
         consumes one ``should_transmit`` coin per own data slot, so while
-        the buffer is non-empty the lane must be polled on *every* own
-        data slot (skipping one would shift the coin stream).  All other
-        slots are provable no-ops, which is what feeds the engine's
+        this phase's Decay is alive the lane must be polled on *every*
+        own data slot (skipping one would shift the coin stream).  Once
+        the phase's session is decided and is absent (the head sat the
+        phase out, or the retry policy is backing off) or dead (coin 0,
+        budget spent, killed by the ack or a retarget), the rest of the
+        phase draws no coin and changes nothing, so the lane sleeps until
+        the first own data slot of the next phase.  All other slots are
+        provable no-ops, which is what feeds the engine's
         :meth:`~repro.radio.process.Process.quiet_until` fast path.  A
-        reception re-wakes the owning process immediately, so new ack
-        duty / forwarded traffic is never missed.
+        designated reception re-wakes the owning process immediately, so
+        new ack duty / forwarded traffic is never missed.
         """
         wake = QUIET_FOREVER
         if self._pending_ack is not None and self._pending_ack[0] >= slot:
             wake = self._pending_ack[0]
         if self.buffer and not self.muted:
-            data = self.slots.next_data_slot_for(slot, self.level)
+            slots = self.slots
+            phase = slots.phase_of(slot)
+            session = self._session
+            start = slot
+            if phase == self._session_phase and (
+                session is None or not session.alive
+            ):
+                start = slots.first_slot_of_phase(phase + 1)
+            data = slots.next_data_slot_for(start, self.level)
             if data < wake:
                 wake = data
         return wake

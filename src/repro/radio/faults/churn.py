@@ -98,18 +98,24 @@ class MarkovChurn(FailureModel):
         definition, so how far and how often a chain is advanced never
         changes its realization.
         """
-        rng = self._rng[node]
+        draw = self._rng[node].random
         down = self._down[node]
         step = self._advanced[node]
         flips = self._flips[node]
         while step < target:
-            step += 1
             rate = self.recover_rate if down else self.fail_rate
-            if rate and rng.random() < rate:
-                down = not down
-                flips.append(step)
-                if stop_on_flip:
+            if not rate:
+                step = target  # no exit from this state: no draws
+                break
+            for step in range(step + 1, target + 1):
+                if draw() < rate:
                     break
+            else:
+                break  # reached ``target`` without a flip
+            down = not down
+            flips.append(step)
+            if stop_on_flip:
+                break
         self._down[node] = down
         self._advanced[node] = step
 

@@ -26,10 +26,16 @@ is therefore O(n) of wasted work per slot at scale.  A process may
 declare those silences via :meth:`~repro.radio.process.Process.
 quiet_until`; the engine keeps a min-heap of wake slots and skips
 sleeping processes entirely — a reception (or collision callback) wakes
-a process immediately, so reactive traffic is never delayed.  Processes
-that do not implement the hint are polled every slot, exactly as before.
-A slot in which no station is due costs only the wake-heap check: the
-engine advances the clock and the counters and returns.
+a process immediately, so reactive traffic is never delayed, unless its
+:meth:`~repro.radio.process.Process.on_receive` returns False ("this
+reception changed nothing", e.g. an overheard hop addressed to someone
+else): then the receiver stays asleep and its declaration stands.
+Processes that do not implement the hint are polled every slot, exactly
+as before.  A slot in which no station is due costs only the wake-heap
+check: the engine advances the clock and the counters and returns.
+Drivers that own the clock can jump a whole run of such slots in one
+call with :meth:`RadioNetwork.skip_idle`; every counter advances as if
+each slot had been stepped.
 
 Failure models keep the fast path.  A crash changes who is alive, not
 which slots a station may act in, so crash state gets its own event
@@ -464,8 +470,14 @@ class RadioNetwork:
                     trace.record(
                         DeliverEvent(slot, channel, receiver, sender, payload)
                     )
-                processes[receiver].on_receive(slot, channel, payload)
-                if awake is not None and receiver not in awake:
+                changed = processes[receiver].on_receive(
+                    slot, channel, payload
+                )
+                if (
+                    awake is not None
+                    and changed is not False
+                    and receiver not in awake
+                ):
                     awake[receiver] = None
         if profiler is not None:
             now = profiler.clock()
@@ -498,6 +510,59 @@ class RadioNetwork:
         if profiler is not None:
             profiler.add("scalar/slot_end", profiler.clock() - mark)
             profiler.bump("scalar_slots")
+
+    def skip_idle(self, limit: int) -> int:
+        """Jump the clock over provably empty slots; return the new slot.
+
+        Advances to the earliest of ``limit``, the first slot any station
+        is due (stale wake-heap entries are discarded on the way) and the
+        first slot a crash span ends.  No station acts in between, so
+        nothing is transmitted or received; ``stats.slots``,
+        ``down_node_slots`` and the profiler's ``scalar_slots`` /
+        ``skipped`` counters advance exactly as if :meth:`step` had run
+        once per skipped slot.  A no-op with ``idle_scheduling`` off,
+        before the first step, and after ``attach``, a graph swap or a
+        ``failures`` reassignment until the next step re-arms the heaps.
+        """
+        slot = self.slot
+        failures = self._failures
+        if (
+            limit <= slot
+            or not self.idle_scheduling
+            or not self._wake_valid
+            or (failures is not None and not self._crash_valid)
+        ):
+            return slot
+        profiler = self.profiler
+        mark = profiler.clock() if profiler is not None else 0.0
+        heap = self._wake_heap
+        wake = self._wake
+        order = self._order
+        while heap:
+            entry_wake, rank = heap[0]
+            if wake[order[rank]] == entry_wake:
+                break
+            heapq.heappop(heap)  # stale: rescheduled since it was pushed
+        target = limit
+        if heap and heap[0][0] < target:
+            target = heap[0][0]
+        if failures is not None:
+            crash_heap = self._crash_heap
+            if crash_heap and crash_heap[0][0] < target:
+                target = crash_heap[0][0]
+        gap = target - slot
+        if gap <= 0:
+            return slot
+        self.slot = target
+        stats = self.stats
+        stats.slots += gap
+        if failures is not None:
+            stats.down_node_slots += len(self._down) * gap
+        if profiler is not None:
+            profiler.add("scalar/intents", profiler.clock() - mark)
+            profiler.bump("skipped", len(self._processes) * gap)
+            profiler.bump("scalar_slots", gap)
+        return target
 
     def run(
         self,

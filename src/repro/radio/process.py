@@ -6,7 +6,9 @@ with three callbacks per slot, in this order for every station:
 1. :meth:`Process.on_slot` — decide what to transmit this slot (possibly on
    several channels; the paper's model allows one transceiver per channel).
 2. :meth:`Process.on_receive` — called once per channel on which *exactly
-   one* neighbor transmitted and this station was listening.
+   one* neighbor transmitted and this station was listening.  It may
+   return False to tell the idle-aware engine that the reception changed
+   nothing this process does (see :meth:`Process.on_receive`).
 3. :meth:`Process.on_slot_end` — bookkeeping after all receptions of the
    slot are in.
 
@@ -53,8 +55,19 @@ class Process:
         """Return the transmission(s) for this slot, or None to listen."""
         return None
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
-        """Called when a message was successfully received on ``channel``."""
+    def on_receive(
+        self, slot: int, channel: int, payload: Any
+    ) -> Optional[bool]:
+        """Called when a message was successfully received on ``channel``.
+
+        Returning False declares "this reception changed nothing": no
+        state that :meth:`on_slot`, :meth:`on_slot_end` or
+        :meth:`quiet_until` read was touched (an overheard message
+        addressed to someone else is the typical case).  The engine then
+        leaves a sleeping receiver asleep — no :meth:`on_slot_end` this
+        slot, and its outstanding quiet declaration stands.  Any other
+        return value, None included, re-wakes the process as usual.
+        """
 
     def on_collision(self, slot: int, channel: int) -> None:
         """Called on a collision — ONLY in the §8-remark-(4) model variant.
@@ -79,8 +92,10 @@ class Process:
         those callbacks entirely (it keeps a min-heap of wake slots, see
         :mod:`repro.radio.network`).  Receiving a message (or an
         ``on_collision`` in the detection variant) re-wakes the process
-        for the current slot, so reactive behaviour is never delayed.
-        Return :data:`QUIET_FOREVER` for "silent until spoken to".
+        for the current slot, so reactive behaviour is never delayed —
+        unless :meth:`on_receive` returned False, in which case nothing
+        changed and the declaration still holds.  Return
+        :data:`QUIET_FOREVER` for "silent until spoken to".
 
         Under a failure model a crashed station gets no callbacks at
         all.  If it is down in the slot it is due, the engine re-polls

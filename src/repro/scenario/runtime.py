@@ -60,6 +60,7 @@ from repro.rng import child_rng, derive_seed
 from repro.runner.registry import ExperimentDef
 from repro.runner.task import TaskSpec
 from repro.workloads.arrivals import (
+    NEVER,
     ArrivalProcess,
     BernoulliArrivals,
     BurstArrivals,
@@ -357,16 +358,25 @@ def _drive_collection_epoch(
                 )
             root.delivered.clear()
 
+    # Only slots where something can happen are stepped: arrivals are
+    # injected at the slots the process says may carry a batch, and
+    # ``skip_idle`` jumps the clock over the provably empty slots in
+    # between (nobody is due, so nothing is sent, heard or delivered).
+    # Every counter, and so every metric, matches stepping each slot.
     slot = 0
+    next_arrival = (
+        arrivals.next_arrival_slot(0) if arrivals is not None else NEVER
+    )
     while slot < horizon_slots:
-        if arrivals is not None:
+        if slot == next_arrival:
             for node, payload in arrivals.arrivals_at(slot):
                 msg_id = processes[node].submit(payload)
                 in_flight[msg_id] = slot
                 acc.note_submitted(node)
+            next_arrival = arrivals.next_arrival_slot(slot + 1)
         network.step()
         pump(network.slot)
-        slot += 1
+        slot = network.skip_idle(min(horizon_slots, next_arrival))
     # Drain: no new arrivals; bounded by what is actually left, because
     # a faulty run may have wedged messages below a dead region (the
     # repair layer freezes buffers at stations it declares partitioned).
@@ -383,7 +393,9 @@ def _drive_collection_epoch(
         pump(network.slot)
         if len(in_flight) < before:
             progress_at = slot
-        slot += 1
+        slot = network.skip_idle(
+            min(drained_at + drain_cap, progress_at + _STALL_SLOTS)
+        )
     acc.lost += len(in_flight)
     acc.slots += network.slot
     acc.absorb_stats(network.stats)

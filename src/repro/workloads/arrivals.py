@@ -15,7 +15,14 @@ processes experiments drive the protocols with:
 * :class:`BurstArrivals` — periodic synchronized bursts (every source
   fires every ``period`` phases), the classic sensor-sampling pattern.
 
-All processes yield per-slot batches so drivers can inject mid-run.
+All processes yield per-slot batches so drivers can inject mid-run, and
+say where the next non-empty batch may be:
+:meth:`ArrivalProcess.next_arrival_slot` lets an idle-aware driver poll
+only those slots and jump the network clock over the rest.  Every
+shipped process answers from its own structure: a Bernoulli batch can
+only occur at a phase start (never at rate 0), a burst at a burst slot
+or jitter offset, a scripted arrival at its slot, and a Poisson arrival
+in the slot its next arrival time falls into.
 
 Determinism contract
 --------------------
@@ -34,12 +41,18 @@ slots are emitted, never lost, at the next polled slot.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.graphs.graph import NodeId
+from repro.radio.process import QUIET_FOREVER
 from repro.rng import child_rng
+
+#: :meth:`ArrivalProcess.next_arrival_slot` answer for "no arrival ever
+#: again" (the engine's own "silent until spoken to" sentinel).
+NEVER = QUIET_FOREVER
 
 
 class ArrivalProcess:
@@ -47,6 +60,16 @@ class ArrivalProcess:
 
     def arrivals_at(self, slot: int) -> List[Tuple[NodeId, Any]]:
         raise NotImplementedError
+
+    def next_arrival_slot(self, slot: int) -> int:
+        """The first slot >= ``slot`` whose batch may be non-empty.
+
+        Contract: :meth:`arrivals_at` returns ``[]`` for every slot in
+        ``[slot, next_arrival_slot(slot))``, and the query changes no
+        state.  :data:`NEVER` means no batch is ever non-empty again.
+        The default returns ``slot`` — poll every slot.
+        """
+        return slot
 
 
 @dataclass
@@ -61,9 +84,14 @@ class DeterministicSchedule(ArrivalProcess):
             if slot < 0:
                 raise ConfigurationError(f"negative arrival slot {slot}")
             self._by_slot.setdefault(slot, []).append((source, payload))
+        self._slots = sorted(self._by_slot)
 
     def arrivals_at(self, slot: int) -> List[Tuple[NodeId, Any]]:
         return self._by_slot.get(slot, [])
+
+    def next_arrival_slot(self, slot: int) -> int:
+        index = bisect_left(self._slots, slot)
+        return self._slots[index] if index < len(self._slots) else NEVER
 
 
 def _require_seed(seed: object) -> int:
@@ -115,6 +143,11 @@ class BernoulliArrivals(ArrivalProcess):
             for source in self.sources
             if rng.random() < self.rate
         ]
+
+    def next_arrival_slot(self, slot: int) -> int:
+        if not self.sources or self.rate == 0.0:
+            return NEVER
+        return -(-slot // self.phase_length) * self.phase_length
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -206,6 +239,11 @@ class PoissonArrivals(ArrivalProcess):
             self._next_time[source] = next_time
         return out
 
+    def next_arrival_slot(self, slot: int) -> int:
+        if not self._next_time:
+            return NEVER
+        return max(slot, int(min(self._next_time.values())))
+
 
 class BurstArrivals(ArrivalProcess):
     """Every source fires every ``period`` slots, optionally jittered.
@@ -269,3 +307,15 @@ class BurstArrivals(ArrivalProcess):
             (source, ("burst", burst, source))
             for source in self._burst_offsets(burst).get(within, ())
         ]
+
+    def next_arrival_slot(self, slot: int) -> int:
+        if not self.sources:
+            return NEVER
+        burst, within = divmod(slot, self.period)
+        while burst < self.bursts:
+            offsets = (0,) if self.jitter == 0 else self._burst_offsets(burst)
+            ahead = [offset for offset in offsets if offset >= within]
+            if ahead:
+                return burst * self.period + min(ahead)
+            burst, within = burst + 1, 0
+        return NEVER

@@ -26,6 +26,7 @@ from repro.radio import (
     subtree_outage,
 )
 from repro.radio.process import QUIET_FOREVER
+from repro.rng import child_rng
 
 
 class TestComposition:
@@ -143,6 +144,27 @@ class TestCrashSpan:
         self.walk(model, 1, exact=False)
 
 
+#: Per-slot transition rates the realization pin covers: off, rare,
+#: frequent and certain.
+CHURN_RATES = [0.0, 1e-4, 0.3, 1.0]
+
+
+def _reference_chain(node, fail_rate, recover_rate, seed, start_down, horizon):
+    """The chain by its definition: one draw per slot with a non-zero
+    exit rate, on the station's own derived stream.  Returns the flip
+    slots and the state at every slot ``0..horizon``."""
+    rng = child_rng(seed, "churn", node)
+    down = start_down
+    flips, states = [], [down]
+    for slot in range(1, horizon + 1):
+        rate = recover_rate if down else fail_rate
+        if rate and rng.random() < rate:
+            down = not down
+            flips.append(slot)
+        states.append(down)
+    return flips, states
+
+
 class TestMarkovChurn:
     def test_unlisted_nodes_never_fail(self):
         model = MarkovChurn([1], fail_rate=1.0, recover_rate=0.0, seed=0)
@@ -214,6 +236,45 @@ class TestMarkovChurn:
         assert until < 64 and model.churn_events() == []
         model.node_down(1, until)
         assert model.churn_events() == [(until, 1, not down)]
+
+    @pytest.mark.parametrize("fail_rate", CHURN_RATES)
+    @pytest.mark.parametrize("recover_rate", CHURN_RATES)
+    @pytest.mark.parametrize("start_down", [False, True])
+    @pytest.mark.parametrize("pattern", ["slot-by-slot", "span-jumps"])
+    def test_realization_matches_one_draw_per_slot(
+        self, fail_rate, recover_rate, start_down, pattern
+    ):
+        nodes = [3, 8]
+        model = MarkovChurn(
+            nodes, fail_rate, recover_rate, seed=11,
+            start_down=[8] if start_down else [],
+        )
+        horizon = 1_500
+        for node in nodes:
+            flips, states = _reference_chain(
+                node, fail_rate, recover_rate, seed=11,
+                start_down=start_down and node == 8, horizon=horizon,
+            )
+            if pattern == "slot-by-slot":
+                for slot in range(horizon + 1):
+                    assert model.node_down(node, slot) == states[slot]
+            else:
+                slot = 0
+                while slot <= horizon:
+                    down, until = model.crash_span(node, slot)
+                    assert down == states[slot]
+                    assert all(
+                        states[s] == down
+                        for s in range(slot, min(until, horizon + 1))
+                    )
+                    slot = until
+                model.node_down(node, horizon)
+            expected = []
+            down = start_down and node == 8
+            for at in flips:
+                down = not down
+                expected.append((at, node, down))
+            assert model.churn_events(node) == expected
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

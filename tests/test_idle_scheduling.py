@@ -4,9 +4,11 @@ The engine may skip a process's callbacks exactly while a
 ``quiet_until`` declaration is outstanding and nothing was delivered to
 it; these tests pin that contract from both sides — silent slots are
 skipped, receptions and external :meth:`Process.wake` pokes re-wake
-immediately, crashed stations sleep through their crash spans, and
-protocol outcomes are bit-identical with the fast path on or off, with
-or without a failure model.
+immediately (unless ``on_receive`` says nothing changed), lanes sleep
+through dead Decay sessions, crashed stations sleep through their crash
+spans, ``skip_idle`` keeps every counter exact, and protocol outcomes
+are bit-identical with the fast path on or off, with or without a
+failure model.
 """
 
 import random
@@ -332,6 +334,50 @@ class TestProtocolEquivalence:
             )
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_dense_collection_identical_with_and_without_fast_path(
+        self, monkeypatch, seed
+    ):
+        # Δ ≥ 8: long Decay budgets, so sessions die well before the
+        # phase ends and the lanes actually sleep through dead sessions.
+        graph = balanced_tree(8, 2)
+        assert graph.max_degree() >= 8
+        tree = reference_bfs_tree(graph, 0)
+        sources = {v: [f"m{v}"] for v in graph.nodes if v % 4 == 1}
+        dead_skips = 0
+        original = TransportLane.next_active_slot
+
+        def counting(lane, slot):
+            nonlocal dead_skips
+            wake = original(lane, slot)
+            if lane.buffer and not lane.muted and wake > (
+                lane.slots.next_data_slot_for(slot, lane.level)
+            ):
+                dead_skips += 1
+            return wake
+
+        monkeypatch.setattr(TransportLane, "next_active_slot", counting)
+        results = []
+        for idle in (True, False):
+            network, processes, _ = build_collection_network(
+                graph, tree, sources, seed=seed
+            )
+            network.idle_scheduling = idle
+            root = processes[tree.root]
+            network.run(
+                50_000, until=lambda net: len(root.delivered) == len(sources)
+            )
+            results.append(
+                (
+                    network.slot,
+                    [m.msg_id for m in root.delivered],
+                    network.stats.as_dict(),
+                    [p.lane.data_transmissions for p in processes.values()],
+                )
+            )
+        assert results[0] == results[1]
+        assert dead_skips > 0
+
     def test_reactive_submission_wakes_the_source(self):
         # run_collection drains, then a mid-run submit must restart the
         # pipeline even though every station had declared QUIET_FOREVER.
@@ -545,3 +591,333 @@ class TestProcessesView:
         net = RadioNetwork(path(2))
         net.attach_all(DoneAfter)
         assert net.run_until_done(10) == 0
+
+
+# ----------------------------------------------------------------------
+# Dead Decay sessions: the lane sleeps until the next phase
+# ----------------------------------------------------------------------
+
+def _seeded_rng(first_coin_dies):
+    """A coin stream whose first Decay coin is 0 (or is not)."""
+    seed = next(
+        s for s in range(100)
+        if (random.Random(s).random() < 0.5) == first_coin_dies
+    )
+    return random.Random(seed)
+
+
+def _message(serial):
+    from repro.core.messages import DataMessage
+
+    return DataMessage(
+        msg_id=(1, serial),
+        origin=1,
+        hop_sender=1,
+        hop_dest=0,
+        dest_address=None,
+        payload=serial,
+    )
+
+
+def _loaded_lane(rng, retry=None):
+    return TransportLane(
+        node_id=1,
+        level=1,
+        slots=SlotStructure(decay_budget=4, level_classes=3),
+        rng=rng,
+        channel=0,
+        strict=False,
+        retry=retry,
+    )
+
+
+def _own_data_slots(lane, phase):
+    slots = lane.slots
+    first = slots.first_slot_of_phase(phase)
+    return [
+        s for s in range(first, first + slots.phase_length)
+        if slots.is_data_slot_for(s, lane.level)
+    ]
+
+
+def _poll_every_slot(lane, rng, phases, after_slot=None):
+    """Drive ``lane`` slot by slot, checking each declaration.
+
+    Every slot the lane declares inactive must return None and leave the
+    coin stream untouched.  Returns the own data slots it declared
+    inactive while loaded (only a dead session makes those skippable).
+    """
+    slots = lane.slots
+    skipped = []
+    for slot in range(phases * slots.phase_length):
+        wake = lane.next_active_slot(slot)
+        state = rng.getstate()
+        action = lane.on_slot(slot)
+        if wake > slot:
+            assert action is None, slot
+            assert rng.getstate() == state, slot
+            if lane.buffer and slots.is_data_slot_for(slot, lane.level):
+                next_phase = slots.phase_of(slot) + 1
+                assert wake == _own_data_slots(lane, next_phase)[0]
+                skipped.append(slot)
+        if after_slot is not None:
+            after_slot(slot, action)
+    return skipped
+
+
+class TestDeadSessions:
+    """Once a phase's Decay is over, the rest of the phase is silent."""
+
+    def test_coin_zero_sleeps_until_the_next_phase(self):
+        rng = _seeded_rng(first_coin_dies=True)
+        lane = _loaded_lane(rng)
+        lane.enqueue(_message(0))
+        skipped = _poll_every_slot(lane, rng, phases=2)
+        # Transmitted at the first own slot, died, skipped the rest.
+        assert skipped[:3] == _own_data_slots(lane, 0)[1:]
+        assert lane.data_transmissions >= 2  # phase 1 tried again
+
+    def test_ack_kill_sleeps_until_the_next_phase(self):
+        from repro.core.messages import AckMessage
+
+        rng = _seeded_rng(first_coin_dies=False)
+        lane = _loaded_lane(rng)
+        lane.enqueue(_message(0))
+        lane.enqueue(_message(1))
+
+        def ack_first(slot, action):
+            if action is not None and action.payload.msg_id == (1, 0):
+                lane.accept_ack(
+                    AckMessage(msg_id=(1, 0), hop_sender=0, hop_dest=1)
+                )
+
+        skipped = _poll_every_slot(lane, rng, phases=2, after_slot=ack_first)
+        # The second message waits for phase 1 behind a killed session.
+        assert skipped[:3] == _own_data_slots(lane, 0)[1:]
+        assert lane.backlog == 1
+
+    def test_sit_out_sleeps_until_the_next_phase(self):
+        rng = random.Random(5)
+        lane = _loaded_lane(rng)
+        # Received mid-phase 0: transmittable from phase 1 only.
+        lane.enqueue(_message(0), received_at_slot=1)
+        skipped = _poll_every_slot(lane, rng, phases=2)
+        assert skipped[:3] == _own_data_slots(lane, 0)[1:]
+        assert lane.data_transmissions >= 1
+
+    def test_backoff_sleeps_until_the_next_phase(self):
+        from repro.core.transport import RetryPolicy
+
+        rng = random.Random(5)
+        lane = _loaded_lane(
+            rng, retry=RetryPolicy(max_attempts=None, backoff_cap=4)
+        )
+        lane.enqueue(_message(0))
+        skipped = _poll_every_slot(lane, rng, phases=4)
+        # Attempts in phases 0 and 1; the second failure backs off one
+        # phase, so phase 2 is decided at its first own slot and skipped.
+        assert set(_own_data_slots(lane, 2)[1:]) <= set(skipped)
+        assert lane.head_attempts == 3
+
+    def test_retarget_sleeps_until_the_next_phase(self):
+        rng = _seeded_rng(first_coin_dies=False)
+        lane = _loaded_lane(rng)
+        lane.enqueue(_message(0))
+
+        def retarget_after_first(slot, action):
+            if action is not None and lane.retargets == 0:
+                lane.retarget(2)
+
+        skipped = _poll_every_slot(
+            lane, rng, phases=2, after_slot=retarget_after_first
+        )
+        assert skipped[:3] == _own_data_slots(lane, 0)[1:]
+        assert lane.buffer[0].hop_dest == 2
+
+    def test_pending_ack_still_wins(self):
+        from repro.core.messages import DataMessage
+
+        rng = _seeded_rng(first_coin_dies=True)
+        lane = _loaded_lane(rng)
+        lane.enqueue(_message(0))
+        first = _own_data_slots(lane, 0)[0]
+        assert lane.on_slot(first) is not None  # transmits, coin 0
+        # A child's data arrives later in the phase: its ack is due
+        # before the next phase's own slot.
+        heard = first + 4
+        lane.accept_data(
+            heard,
+            DataMessage(
+                msg_id=(7, 0), origin=7, hop_sender=7, hop_dest=1,
+                dest_address=None, payload="up",
+            ),
+        )
+        assert lane.next_active_slot(first + 1) == heard + 1
+
+
+# ----------------------------------------------------------------------
+# Overheard receptions leave the receiver asleep
+# ----------------------------------------------------------------------
+
+class Overhearer(CountingProcess):
+    """A quiet process whose receptions change nothing."""
+
+    def on_receive(self, slot, channel, payload):
+        super().on_receive(slot, channel, payload)
+        return False
+
+
+class TestOverhearing:
+    def test_unchanged_reception_keeps_the_receiver_asleep(self):
+        net = RadioNetwork(path(2))
+        sleeper = Overhearer(1, period=QUIET_FOREVER)
+        net.attach(ScriptedProcess(0, {5: Transmission("ping")}))
+        net.attach(sleeper)
+        net.run(10)
+        assert sleeper.received == [(5, "ping")]
+        assert sleeper.polled == [0]
+        assert sleeper.ended == [0]
+
+    def test_legacy_loop_ignores_the_return_value(self):
+        net = RadioNetwork(path(2))
+        sleeper = Overhearer(1, period=QUIET_FOREVER)
+        net.attach(ScriptedProcess(0, {5: Transmission("ping")}))
+        net.attach(sleeper)
+        net.idle_scheduling = False
+        net.run(10)
+        assert sleeper.polled == sleeper.ended == list(range(10))
+
+    def test_collection_reports_which_receptions_matter(self):
+        from repro.core.messages import AckMessage, DataMessage
+
+        graph = path(3)
+        tree = reference_bfs_tree(graph, 0)
+        _, processes, _ = build_collection_network(graph, tree, {}, seed=1)
+        middle = processes[1]
+
+        def data(sender, dest):
+            return DataMessage(
+                msg_id=(sender, 0), origin=sender, hop_sender=sender,
+                hop_dest=dest, dest_address=None, payload="x",
+            )
+
+        # Overheard hops and foreign channels change nothing...
+        assert middle.on_receive(0, 0, data(0, 2)) is False
+        assert middle.on_receive(0, 0, AckMessage((2, 0), 2, 0)) is False
+        assert middle.on_receive(0, 1, data(2, 1)) is False
+        assert middle.lane.idle
+        # ...designated data and acks do.
+        assert middle.on_receive(4, 0, data(2, 1)) is True
+        assert middle.on_receive(9, 0, AckMessage((2, 0), 0, 1)) is True
+        assert middle.lane.backlog == 0
+
+    def test_partitioned_station_ignores_everything(self):
+        from repro.core.messages import DataMessage
+        from repro.core.repair import build_resilient_collection_network
+
+        graph = path(3)
+        tree = reference_bfs_tree(graph, 0)
+        _, processes, _, _ = build_resilient_collection_network(
+            graph, tree, {}, seed=1
+        )
+        middle = processes[1]
+        designated = DataMessage(
+            msg_id=(2, 0), origin=2, hop_sender=2, hop_dest=1,
+            dest_address=None, payload="x",
+        )
+        middle.partitioned = True
+        assert middle.on_receive(4, 0, designated) is False
+        middle.partitioned = False
+        assert middle.on_receive(4, 0, designated) is True
+
+
+# ----------------------------------------------------------------------
+# skip_idle: jumping the clock over empty slots
+# ----------------------------------------------------------------------
+
+SKIP_FAILURES = {
+    "none": lambda: None,
+    "crash-schedule": lambda: CrashSchedule(
+        {1: [(7, 30), (25, 61)], 3: [(0, 12)]}
+    ),
+    "churn": lambda: MarkovChurn(
+        [1, 2, 3], fail_rate=0.05, recover_rate=0.1, seed=4
+    ),
+}
+
+
+def _skip_network(failures):
+    net = RadioNetwork(path(5), failures=failures)
+    procs = [CountingProcess(v, period=7 + 3 * v) for v in range(4)]
+    procs.append(CountingProcess(4, period=QUIET_FOREVER))
+    for proc in procs:
+        net.attach(proc)
+    return net, procs
+
+
+class TestSkipIdle:
+    @pytest.mark.parametrize("model", sorted(SKIP_FAILURES))
+    def test_counters_match_stepping_slot_by_slot(self, model):
+        from repro.profiling import profiled
+
+        horizon = 200
+        runs = []
+        for jump in (False, True):
+            with profiled() as profile:
+                net, procs = _skip_network(SKIP_FAILURES[model]())
+                steps = 0
+                while net.slot < horizon:
+                    net.step()
+                    steps += 1
+                    if jump:
+                        net.skip_idle(horizon)
+            counters = profile.counters
+            assert counters["scalar_slots"] == horizon
+            assert counters["polled"] + counters["skipped"] == 5 * horizon
+            runs.append(
+                (
+                    steps,
+                    net.slot,
+                    net.stats.as_dict(),
+                    counters,
+                    [(p.polled, p.ended) for p in procs],
+                )
+            )
+        stepped, jumped = runs
+        assert jumped[1:] == stepped[1:]
+        assert jumped[0] < stepped[0] / 2  # the jumps did skip slots
+        if model != "none":
+            assert jumped[2]["down_node_slots"] > 0
+
+    def test_stops_at_the_limit_a_wake_and_a_crash_span_end(self):
+        net = RadioNetwork(
+            path(2), failures=CrashSchedule({1: [(0, 6)]})
+        )
+        net.attach(CountingProcess(0, period=10))
+        net.attach(CountingProcess(1, period=QUIET_FOREVER))
+        net.step()
+        assert net.skip_idle(4) == 4  # the limit
+        assert net.skip_idle(100) == 6  # station 1 revives
+        net.step()
+        assert net.skip_idle(100) == 10  # station 0 is due
+        assert net.stats.down_node_slots == 6
+
+    def test_no_op_cases(self):
+        net, _ = _skip_network(None)
+        assert net.skip_idle(50) == 0  # before the first step
+        net.step()
+        assert net.skip_idle(1) == 1  # limit not ahead
+        net.idle_scheduling = False
+        assert net.skip_idle(50) == 1  # legacy loop
+        net.idle_scheduling = True
+        net.attach(CountingProcess(4, period=QUIET_FOREVER))
+        assert net.skip_idle(50) == 1  # after attach
+        net.step()
+        net.graph = path(5)
+        assert net.skip_idle(50) == 2  # after a graph swap
+        net.step()
+        net.failures = PermanentCrashes({3})
+        assert net.skip_idle(50) == 3  # after a failures reassignment
+        net.step()
+        assert net.skip_idle(50) > 4  # re-armed by the step
+        assert net.stats.slots == net.slot
