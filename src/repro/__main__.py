@@ -262,9 +262,8 @@ def _cmd_run(argv: list) -> int:
             "vector-engine array kernels: 'numpy' (default "
             "formulations), 'numba' (JIT-compiled inner loops; silently "
             "falls back to numpy when the wheel is unavailable — "
-            "results are bit-identical), 'cupy' (GPU stub, not yet "
-            "implemented) or 'auto' (numba when importable); part of "
-            "the cached task identity"
+            "results are bit-identical) or 'auto' (numba when "
+            "importable); part of the cached task identity"
         ),
     )
     parser.add_argument(
@@ -520,7 +519,7 @@ def _cmd_scenario(argv: list) -> int:
         help="override the spec's [engine] kind",
     )
     parser.add_argument(
-        "--backend", choices=("numpy", "numba", "cupy", "auto"),
+        "--backend", choices=("numpy", "numba", "auto"),
         default=None,
         help="override the spec's [engine] backend (vector engine only)",
     )

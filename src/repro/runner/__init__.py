@@ -79,7 +79,6 @@ from repro.runner.fleet import (
     FleetQueue,
     FleetStatus,
     FleetWorker,
-    WorkerReport,
     fleet_report,
     fleet_status,
 )
@@ -94,6 +93,7 @@ from repro.runner.registry import (
     run_registered_task,
 )
 from repro.runner.task import TaskSpec, task_grid
+from repro.runner.worker import WorkerReport
 from repro.runner.telemetry import (
     Progress,
     RunTelemetry,

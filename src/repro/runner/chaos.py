@@ -86,9 +86,10 @@ import sys
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rng import child_rng
@@ -262,6 +263,147 @@ def _canonical(metrics: Dict[str, Any]) -> str:
     return json.dumps(metrics, sort_keys=True, separators=(",", ":"))
 
 
+def _e3_grid(seed: int, replications: int):
+    """The E3 quick grid every chaos mode runs: (version, tasks, keys)."""
+    import repro
+
+    tasks = get_experiment("E3").tasks(seed, replications, quick=True)
+    version = repro.__version__
+    return version, tasks, [spec.key(version) for spec in tasks]
+
+
+@contextmanager
+def _base_dir(
+    base_dir: Optional[os.PathLike], keep: bool, prefix: str
+) -> Iterator[Path]:
+    """The working directory: ``base_dir``, or a temporary one removed
+    afterwards unless ``keep`` is set."""
+    base = (
+        Path(base_dir)
+        if base_dir is not None
+        else Path(tempfile.mkdtemp(prefix=prefix))
+    )
+    base.mkdir(parents=True, exist_ok=True)
+    try:
+        yield base
+    finally:
+        if base_dir is None and not keep:
+            shutil.rmtree(base, ignore_errors=True)
+
+
+def _control(
+    base: Path, tasks: List[TaskSpec], *, workers: int = 0, progress: bool
+) -> Tuple[RunReport, Dict[str, str]]:
+    """The clean control run (the same grid, same entry point, no
+    faults) and its canonical metrics by content key."""
+    control = run_tasks(
+        tasks,
+        chaos_run_task,
+        workers=workers,
+        cache=ResultCache(base / "control-cache"),
+        telemetry=RunTelemetry(base / "control-run"),
+        progress=progress,
+    )
+    return control, {
+        o.key: _canonical(dict(o.metrics)) for o in control.outcomes
+    }
+
+
+def _mismatches(report: RunReport, by_key: Dict[str, str]) -> List[str]:
+    """Keys whose metrics differ from the control's."""
+    return [
+        o.key for o in report.outcomes
+        if by_key.get(o.key) != _canonical(dict(o.metrics))
+    ]
+
+
+def _wait_all(procs: List[subprocess.Popen], timeout: float) -> List[int]:
+    """Exit codes of ``procs`` within one shared deadline (-9: killed)."""
+    deadline = time.monotonic() + timeout
+    codes = []
+    for proc in procs:
+        try:
+            codes.append(
+                proc.wait(timeout=max(1.0, deadline - time.monotonic()))
+            )
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            codes.append(-9)
+    return codes
+
+
+def _record_control(report: "ChaosReport", control: RunReport) -> None:
+    """Attach the control run and its ``control_clean`` verdict."""
+    report.control_failures = control.failure_summary()
+    report.control_wall = control.wall_time
+    report.verdicts.append(
+        ChaosVerdict(
+            "control_clean",
+            not control.quarantined
+            and control.executed == report.tasks
+            and control.retries == 0
+            and control.pool_rebuilds == 0,
+            f"executed {control.executed}/{report.tasks}, "
+            f"{len(control.quarantined)} quarantined, "
+            f"{control.retries} retries, "
+            f"{control.pool_rebuilds} pool rebuilds",
+        )
+    )
+
+
+def _worker_env() -> Dict[str, str]:
+    """Environment for worker subprocesses: this source tree importable,
+    no fault plan (they run the clean task function)."""
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part
+        for part in (
+            str(Path(repro.__file__).resolve().parents[1]),
+            env.get("PYTHONPATH", ""),
+        )
+        if part
+    )
+    env.pop(ENV_VAR, None)
+    return env
+
+
+def _replay_verdict(
+    base: Path,
+    tasks: List[TaskSpec],
+    cache: ResultCache,
+    control_by_key: Dict[str, str],
+    *,
+    fresh: int,
+    progress: bool,
+) -> ChaosVerdict:
+    """Clean replay over the warm chaos cache: exactly ``fresh`` tasks
+    execute, the rest replay from cache, all matching the control."""
+    total = len(tasks)
+    replay = run_tasks(
+        tasks,
+        chaos_run_task,
+        workers=0,
+        cache=cache,
+        telemetry=RunTelemetry(base / "replay-run"),
+        progress=progress,
+    )
+    mismatches = _mismatches(replay, control_by_key)
+    return ChaosVerdict(
+        "replay",
+        replay.executed == fresh
+        and replay.cache_hits == total - fresh
+        and len(replay.outcomes) == total
+        and not mismatches
+        and not replay.quarantined,
+        f"executed {replay.executed} (want {fresh}), "
+        f"{replay.cache_hits} cache hits (want {total - fresh}), "
+        f"{len(mismatches)} mismatches vs control",
+    )
+
+
 def run_chaos(
     *,
     seed: int = 7,
@@ -302,53 +444,28 @@ def run_chaos(
     if timeout is None:
         timeout = 3.0 if quick else 6.0
 
-    import repro
-
-    version = repro.__version__
-    defn = get_experiment("E3")
-    tasks = defn.tasks(seed, replications, quick=True)
-    labels = [spec.label() for spec in tasks]
-    keys = [spec.key(version) for spec in tasks]
-    total = len(tasks)
-
-    base = (
-        Path(base_dir)
-        if base_dir is not None
-        else Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-    )
-    base.mkdir(parents=True, exist_ok=True)
-    cleanup = base_dir is None and not keep
-    try:
+    with _base_dir(base_dir, keep, "repro-chaos-") as base:
         return _run_scenario(
             base=base,
-            tasks=tasks,
-            labels=labels,
-            keys=keys,
-            total=total,
             seed=seed,
+            replications=replications,
             workers=workers,
             timeout=timeout,
             progress=progress,
-            preseed_count=min(preseed_count, total),
+            preseed_count=preseed_count,
             corrupt_count=corrupt_count,
             crash_fraction=crash_fraction,
             flaky_count=flaky_count,
             hang_count=hang_count,
             hang_seconds=hang_seconds,
         )
-    finally:
-        if cleanup:
-            shutil.rmtree(base, ignore_errors=True)
 
 
 def _run_scenario(
     *,
     base: Path,
-    tasks: List[TaskSpec],
-    labels: List[str],
-    keys: List[str],
-    total: int,
     seed: int,
+    replications: int,
     workers: int,
     timeout: float,
     progress: bool,
@@ -359,19 +476,17 @@ def _run_scenario(
     hang_count: int,
     hang_seconds: float,
 ) -> ChaosReport:
+    _, tasks, keys = _e3_grid(seed, replications)
+    labels = [spec.label() for spec in tasks]
+    total = len(tasks)
+    preseed_count = min(preseed_count, total)
     # -- 1. control: the same tasks, same entry point, no faults -------
-    control_cache = ResultCache(base / "control-cache")
-    control = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=workers,
-        cache=control_cache,
-        telemetry=RunTelemetry(base / "control-run"),
-        progress=progress,
+    control, control_by_key = _control(
+        base, tasks, workers=workers, progress=progress
     )
-    control_by_key = {o.key: _canonical(dict(o.metrics)) for o in control.outcomes}
 
     # -- 2. pre-seed the chaos cache, then corrupt part of it ----------
+    control_cache = ResultCache(base / "control-cache")
     chaos_cache = ResultCache(base / "chaos-cache")
     ordered = sorted(range(total), key=lambda i: labels[i])
     preseed = ordered[:preseed_count]
@@ -427,24 +542,7 @@ def _run_scenario(
         tasks=total,
         plan={**plan, "corrupt_entries": corrupt_count},
     )
-    report.control_failures = control.failure_summary()
-    report.control_wall = control.wall_time
-    control_clean = (
-        not control.quarantined
-        and control.executed == total
-        and control.retries == 0
-        and control.pool_rebuilds == 0
-    )
-    report.verdicts.append(
-        ChaosVerdict(
-            "control_clean",
-            control_clean,
-            f"executed {control.executed}/{total}, "
-            f"{len(control.quarantined)} quarantined, "
-            f"{control.retries} retries, "
-            f"{control.pool_rebuilds} pool rebuilds",
-        )
-    )
+    _record_control(report, control)
 
     # -- 4. the chaotic run --------------------------------------------
     saved = os.environ.get(ENV_VAR)
@@ -506,13 +604,7 @@ def _run_scenario(
     )
 
     hang_keys = {keys[i] for i in range(total) if labels[i] in hang}
-    mismatches = [
-        key
-        for key, outcome in (
-            (o.key, o) for o in chaotic.outcomes
-        )
-        if control_by_key.get(key) != _canonical(dict(outcome.metrics))
-    ]
+    mismatches = _mismatches(chaotic, control_by_key)
     expected_outcomes = total - len(hang_keys)
     report.verdicts.append(
         ChaosVerdict(
@@ -524,34 +616,10 @@ def _run_scenario(
     )
 
     # -- 5. clean replay over the warm chaos cache ---------------------
-    replay = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=chaos_cache,
-        telemetry=RunTelemetry(base / "replay-run"),
-        progress=progress,
-    )
-    replay_mismatches = [
-        o.key
-        for o in replay.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
-    replay_ok = (
-        replay.executed == len(hang_keys)
-        and replay.cache_hits == total - len(hang_keys)
-        and len(replay.outcomes) == total
-        and not replay_mismatches
-        and not replay.quarantined
-    )
     report.verdicts.append(
-        ChaosVerdict(
-            "replay",
-            replay_ok,
-            f"executed {replay.executed} (want {len(hang_keys)}), "
-            f"{replay.cache_hits} cache hits "
-            f"(want {total - len(hang_keys)}), "
-            f"{len(replay_mismatches)} mismatches vs control",
+        _replay_verdict(
+            base, tasks, chaos_cache, control_by_key,
+            fresh=len(hang_keys), progress=progress,
         )
     )
     return report
@@ -634,28 +702,11 @@ def run_fleet_chaos(
     if replications is None:
         replications = 6 if quick else 10
 
-    import repro
-
-    version = repro.__version__
-    defn = get_experiment("E3")
-    tasks = defn.tasks(seed, replications, quick=True)
-    keys = [spec.key(version) for spec in tasks]
-    total = len(tasks)
-
-    base = (
-        Path(base_dir)
-        if base_dir is not None
-        else Path(tempfile.mkdtemp(prefix="repro-fleet-chaos-"))
-    )
-    base.mkdir(parents=True, exist_ok=True)
-    cleanup = base_dir is None and not keep
-    try:
+    with _base_dir(base_dir, keep, "repro-fleet-chaos-") as base:
         return _run_fleet_scenario(
             base=base,
-            tasks=tasks,
-            keys=keys,
-            total=total,
             seed=seed,
+            replications=replications,
             workers=workers,
             progress=progress,
             ttl=ttl,
@@ -664,18 +715,13 @@ def run_fleet_chaos(
             poll=poll,
             drain_timeout=drain_timeout,
         )
-    finally:
-        if cleanup:
-            shutil.rmtree(base, ignore_errors=True)
 
 
 def _run_fleet_scenario(
     *,
     base: Path,
-    tasks: List[TaskSpec],
-    keys: List[str],
-    total: int,
     seed: int,
+    replications: int,
     workers: int,
     progress: bool,
     ttl: float,
@@ -686,22 +732,11 @@ def _run_fleet_scenario(
 ) -> ChaosReport:
     from repro.runner.fleet import FleetQueue, fleet_report, fleet_status
 
-    import repro
-
-    version = repro.__version__
+    version, tasks, keys = _e3_grid(seed, replications)
+    total = len(tasks)
 
     # -- 1. control: the same grid, single process, no faults ----------
-    control = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=ResultCache(base / "control-cache"),
-        telemetry=RunTelemetry(base / "control-run"),
-        progress=progress,
-    )
-    control_by_key = {
-        o.key: _canonical(dict(o.metrics)) for o in control.outcomes
-    }
+    control, control_by_key = _control(base, tasks, progress=progress)
 
     # -- 2. submit the grid to a shared queue directory ----------------
     queue = FleetQueue(base / "queue")
@@ -710,14 +745,7 @@ def _run_fleet_scenario(
     # -- 3. launch the worker hosts ------------------------------------
     hosts = [f"host{i}" for i in range(workers)]
     victim, skew_host = hosts[0], hosts[-1]
-    src_root = Path(repro.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part
-        for part in (str(src_root), env.get("PYTHONPATH", ""))
-        if part
-    )
-    env.pop(ENV_VAR, None)  # fleet hosts run the clean task function
+    env = _worker_env()
     procs: List[subprocess.Popen] = []
     log_handles = []
     started = time.monotonic()
@@ -756,20 +784,10 @@ def _run_fleet_scenario(
             "corrupt_lease": None,
         },
     )
-    report.control_failures = control.failure_summary()
-    report.control_wall = control.wall_time
-    report.verdicts.append(
-        ChaosVerdict(
-            "control_clean",
-            control.executed == total and not control.quarantined,
-            f"executed {control.executed}/{total}, "
-            f"{len(control.quarantined)} quarantined",
-        )
-    )
+    _record_control(report, control)
 
     killed = False
     corrupted: Optional[str] = None
-    survivor_rcs: List[int] = []
     try:
         # -- 4. SIGKILL the victim while it holds a lease --------------
         # A naive "saw a lease, pull the trigger" races: if this process
@@ -828,15 +846,7 @@ def _run_fleet_scenario(
             report.plan["corrupt_lease"] = corrupted
 
         # -- 6. let the survivors drain the queue ----------------------
-        drain_deadline = time.monotonic() + drain_timeout
-        for proc in procs[1:]:
-            budget = max(1.0, drain_deadline - time.monotonic())
-            try:
-                survivor_rcs.append(proc.wait(timeout=budget))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-                survivor_rcs.append(-9)
+        survivor_rcs = _wait_all(procs[1:], drain_timeout)
     finally:
         for proc in procs:
             if proc.poll() is None:
@@ -874,11 +884,7 @@ def _run_fleet_scenario(
         )
     )
 
-    mismatches = [
-        o.key
-        for o in merged.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
+    mismatches = _mismatches(merged, control_by_key)
     report.verdicts.append(
         ChaosVerdict(
             "results_match",
@@ -907,32 +913,10 @@ def _run_fleet_scenario(
     )
 
     # -- 8. clean replay over the fleet's shared cache -----------------
-    replay = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=queue.cache(),
-        telemetry=RunTelemetry(base / "replay-run"),
-        progress=progress,
-    )
-    replay_mismatches = [
-        o.key
-        for o in replay.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
-    replay_ok = (
-        replay.executed == 0
-        and replay.cache_hits == total
-        and not replay_mismatches
-        and not replay.quarantined
-    )
     report.verdicts.append(
-        ChaosVerdict(
-            "replay",
-            replay_ok,
-            f"executed {replay.executed} (want 0), {replay.cache_hits} "
-            f"cache hits (want {total}), {len(replay_mismatches)} "
-            "mismatches vs control",
+        _replay_verdict(
+            base, tasks, queue.cache(), control_by_key,
+            fresh=0, progress=progress,
         )
     )
     return report
@@ -1205,86 +1189,46 @@ def run_coord_chaos(
     if replications is None:
         replications = 6 if quick else 10
 
-    import repro
-
-    version = repro.__version__
-    defn = get_experiment("E3")
-    tasks = defn.tasks(seed, replications, quick=True)
-    keys = [spec.key(version) for spec in tasks]
-    total = len(tasks)
-
-    base = (
-        Path(base_dir)
-        if base_dir is not None
-        else Path(tempfile.mkdtemp(prefix="repro-coord-chaos-"))
-    )
-    base.mkdir(parents=True, exist_ok=True)
-    cleanup = base_dir is None and not keep
-    try:
+    with _base_dir(base_dir, keep, "repro-coord-chaos-") as base:
         return _run_coord_scenario(
             base=base,
-            tasks=tasks,
-            keys=keys,
-            total=total,
             seed=seed,
+            replications=replications,
             workers=workers,
             progress=progress,
             ttl=ttl,
             throttle=throttle,
             partition_seconds=partition_seconds,
             drain_timeout=drain_timeout,
-            version=version,
         )
-    finally:
-        if cleanup:
-            shutil.rmtree(base, ignore_errors=True)
 
 
 def _run_coord_scenario(
     *,
     base: Path,
-    tasks: List[TaskSpec],
-    keys: List[str],
-    total: int,
     seed: int,
+    replications: int,
     workers: int,
     progress: bool,
     ttl: float,
     throttle: float,
     partition_seconds: float,
     drain_timeout: float,
-    version: str,
 ) -> ChaosReport:
-    import repro
     from repro.runner.client import CoordClient, CoordinatorUnreachable
     from repro.runner.coord import JOURNAL_NAME, coord_report, coord_status
     from repro.runner.coord import submit_tasks
     from repro.runner.telemetry import _read_jsonl
 
+    version, tasks, keys = _e3_grid(seed, replications)
+    total = len(tasks)
+
     state = base / "coord-state"
     coord_port = _free_port()
 
     # -- 1. control: the same grid, single process, no faults ----------
-    control = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=ResultCache(base / "control-cache"),
-        telemetry=RunTelemetry(base / "control-run"),
-        progress=progress,
-    )
-    control_by_key = {
-        o.key: _canonical(dict(o.metrics)) for o in control.outcomes
-    }
-
-    src_root = Path(repro.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part
-        for part in (str(src_root), env.get("PYTHONPATH", ""))
-        if part
-    )
-    env.pop(ENV_VAR, None)  # workers run the clean task function
+    control, control_by_key = _control(base, tasks, progress=progress)
+    env = _worker_env()
 
     def spawn_coord(log):
         return subprocess.Popen(
@@ -1316,16 +1260,7 @@ def _run_coord_scenario(
             "faults": {},
         },
     )
-    report.control_failures = control.failure_summary()
-    report.control_wall = control.wall_time
-    report.verdicts.append(
-        ChaosVerdict(
-            "control_clean",
-            control.executed == total and not control.quarantined,
-            f"executed {control.executed}/{total}, "
-            f"{len(control.quarantined)} quarantined",
-        )
-    )
+    _record_control(report, control)
 
     started = time.monotonic()
     coord_log = (base / "coord.log").open("w", encoding="utf-8")
@@ -1334,7 +1269,6 @@ def _run_coord_scenario(
     procs: List[subprocess.Popen] = []
     faulty = partitioned = None
     killed = restarted = False
-    worker_rcs: List[int] = []
     try:
         # -- 2. wait for the coordinator, submit the grid --------------
         admin = CoordClient(
@@ -1400,15 +1334,7 @@ def _run_coord_scenario(
             restarted = False
 
         # -- 6. wait for the drain -------------------------------------
-        drain_deadline = time.monotonic() + drain_timeout
-        for proc in procs:
-            budget = max(1.0, drain_deadline - time.monotonic())
-            try:
-                worker_rcs.append(proc.wait(timeout=budget))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-                worker_rcs.append(-9)
+        worker_rcs = _wait_all(procs, drain_timeout)
 
         # -- 7. stop the coordinator cleanly ---------------------------
         try:
@@ -1507,11 +1433,7 @@ def _run_coord_scenario(
     )
 
     merged_keys = [o.key for o in merged.outcomes]
-    mismatches = [
-        o.key
-        for o in merged.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
+    mismatches = _mismatches(merged, control_by_key)
     report.verdicts.append(
         ChaosVerdict(
             "results_match",
@@ -1525,32 +1447,10 @@ def _run_coord_scenario(
     )
 
     # -- 9. warm replay over the coordinator's result cache ------------
-    replay = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=ResultCache(state / "results"),
-        telemetry=RunTelemetry(base / "replay-run"),
-        progress=progress,
-    )
-    replay_mismatches = [
-        o.key
-        for o in replay.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
-    replay_ok = (
-        replay.executed == 0
-        and replay.cache_hits == total
-        and not replay_mismatches
-        and not replay.quarantined
-    )
     report.verdicts.append(
-        ChaosVerdict(
-            "replay",
-            replay_ok,
-            f"executed {replay.executed} (want 0), {replay.cache_hits} "
-            f"cache hits (want {total}), {len(replay_mismatches)} "
-            "mismatches vs control",
+        _replay_verdict(
+            base, tasks, ResultCache(state / "results"), control_by_key,
+            fresh=0, progress=progress,
         )
     )
     return report

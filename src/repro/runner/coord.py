@@ -69,11 +69,11 @@ from repro.errors import ConfigurationError
 from repro.runner.atomicio import atomic_write_json
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import SweepCheckpoint
-from repro.runner.executor import RunReport, TaskOutcome
-from repro.runner.fleet import HostStatus
+from repro.runner.executor import RunReport
+from repro.runner.fleet import HostStatus, journal_report
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.task import TaskSpec
-from repro.runner.telemetry import _read_jsonl, merge_task_records
+from repro.runner.telemetry import _read_jsonl
 from repro.runner.wire import FrameDecoder, encode_frame
 
 DISCOVERY_NAME = "coord.json"
@@ -810,66 +810,18 @@ def format_coord_status(payload: Dict[str, Any]) -> str:
 def coord_report(root: os.PathLike) -> RunReport:
     """The merged :class:`RunReport` of a coordinator run, in grid order.
 
-    Built offline from the journal, exactly as :func:`~repro.runner.
-    fleet.fleet_report` builds the fleet's — so chaos can compare the
-    two backends' outputs bit for bit against the same control.
+    Built offline from the journal by the same fold as :func:`~repro.
+    runner.fleet.fleet_report` — so chaos can compare the two backends'
+    outputs bit for bit against the same control.  Every lease expiry
+    counts as both a reclaim and a host failure.
     """
     state = _replay_journal(Path(root) / JOURNAL_NAME)
-    manifest = state.manifest or {}
-    merged, duplicates = merge_task_records(list(state.done.values()))
-    by_key = {entry["key"]: entry for entry in merged if "key" in entry}
-    ordered_keys = [
-        str(key) for key in manifest.get("keys", sorted(by_key))
-    ]
-    outcomes: List[TaskOutcome] = []
-    executed = 0
-    cache_hits = 0
-    for key in ordered_keys:
-        entry = by_key.get(key)
-        if entry is None:
-            continue
-        record = entry.get("record", {})
-        cached = bool(entry.get("cached"))
-        if cached:
-            cache_hits += 1
-        else:
-            executed += 1
-        outcomes.append(
-            TaskOutcome(
-                spec=TaskSpec.from_record(record["spec"]),
-                metrics=record.get("metrics", {}),
-                wall_time=float(record.get("wall_time", 0.0)),
-                cached=cached,
-                key=key,
-                source=str(entry.get("source", "fresh")),
-            )
-        )
-    stamps = [
-        h.started_unix
-        for h in state.hosts.values()
-        if h.started_unix is not None
-    ]
-    ends = [
-        h.last_seen_unix
-        for h in state.hosts.values()
-        if h.last_seen_unix is not None
-    ]
-    wall = max(0.0, max(ends) - min(stamps)) if stamps and ends else 0.0
-    return RunReport(
-        exp_id=str(manifest.get("exp_id", "?")),
-        version=str(manifest.get("version", "?")),
-        workers=len(state.hosts),
-        outcomes=outcomes,
-        executed=executed,
-        cache_hits=cache_hits,
-        wall_time=wall,
-        quarantined=[
-            QuarantineRecord.from_record(record)
-            for record in state.quarantined.values()
-        ],
-        duplicates_merged=duplicates,
+    return journal_report(
+        state.manifest or {},
+        list(state.done.values()),
+        list(state.quarantined.values()),
+        list(state.hosts.values()),
         lease_reclaims=state.lease_expiries,
-        hosts_seen=len(state.hosts),
         host_failures=state.lease_expiries,
     )
 

@@ -21,15 +21,16 @@ processes on any number of machines drain it, and ``fleet status``
 merges the per-host journals into one progress / failure-taxonomy view
 at any time during or after the run.
 
-Per task, a worker: claims the lease create-exclusively, heartbeats its
-mtime while executing, commits the outcome to the shared cache with a
-crash-consistent same-directory ``os.replace``, journals it, removes the
-task file, and releases the lease.  Every step is atomic or idempotent,
-so a worker — or its entire host — can be SIGKILLed between any two
-steps: the task is either still pending, or claimed by a lease that goes
-stale and is reclaimed within one TTL, or already committed — in which
-case the re-claimer replays the cache hit instead of re-executing.  No
-task is ever lost; duplicate journal records are merged last-write-wins
+A :class:`FleetWorker` is the shared :class:`~repro.runner.worker.Worker`
+loop over a :class:`LeaseSource`.  Per task it claims the lease
+create-exclusively, heartbeats its mtime while executing, commits the
+outcome to the shared cache with a crash-consistent same-directory
+``os.replace``, journals it, removes the task file, and releases the
+lease.  Every step is atomic or idempotent, so a worker — or its entire
+host — can be SIGKILLed between any two steps: the task is either still
+pending, or claimed by a lease that goes stale and is reclaimed within
+one TTL, or already committed — in which case the re-claimer replays the
+cache hit instead of re-executing.  No task is ever lost; duplicate journal records are merged last-write-wins
 by content key at read time and counted as ``duplicates_merged``.
 
 The steal count carried on each lease folds host death into the
@@ -49,11 +50,10 @@ from __future__ import annotations
 import json
 import os
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.runner.atomicio import atomic_write_json
@@ -64,6 +64,15 @@ from repro.runner.lease import LeaseDir, LeaseObserver
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.task import TaskSpec
 from repro.runner.telemetry import _read_jsonl, merge_task_records
+from repro.runner.worker import (
+    DRAINED,
+    IDLE,
+    RETIRED,
+    Claim,
+    Worker,
+    WorkerReport,
+    quarantine_record,
+)
 
 QUEUE_MANIFEST = "queue.json"
 TASKS_DIR = "tasks"
@@ -248,49 +257,182 @@ class FleetQueue:
             return []
 
 
-@dataclass
-class WorkerReport:
-    """What one worker (fleet or coordinator-attached) did.
+class LeaseSource:
+    """The :class:`~repro.runner.worker.WorkSource` over a fleet queue.
 
-    ``stranded`` is coordinator-specific: outcomes a worker computed but
-    could not commit before its coordinator stayed unreachable past the
-    offline budget — spooled to the local outbox and committed by the
-    next worker run instead of lost.
+    Claims scan the pending tasks in passes: one listing per pass, in a
+    host-dependent rotation (so simultaneous workers start at different
+    points and rarely collide on claims), then moot leases are reaped.
+    A pass that made no progress — everything pending is leased to live
+    owners — answers ``IDLE``, which is also how the worker watches
+    rivals' leases for staleness.
     """
 
-    host: str
-    executed: int = 0
-    cache_hits: int = 0
-    retries: int = 0
-    lease_reclaims: int = 0
-    quarantined: int = 0
-    overruns: int = 0
-    stranded: int = 0
-    wall_time: float = 0.0
+    def __init__(
+        self,
+        queue: FleetQueue,
+        host: str,
+        *,
+        policy: FaultPolicy,
+        ttl: float,
+        clock_skew: float,
+    ) -> None:
+        self.queue = queue
+        self.host = host
+        self.policy = policy
+        self.ttl = ttl
+        self.leases = queue.leases(clock_skew=clock_skew)
+        self.observer = LeaseObserver(ttl)
+        self.cache = queue.cache()
+        self._claims = self._passes()
+        # fsync=True: journaling an outcome is the step that lets the
+        # merge layer trust "this task is done" after any crash.
+        self._journal = SweepCheckpoint(queue.journal_path(host), fsync=True)
 
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "host": self.host,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "retries": self.retries,
-            "lease_reclaims": self.lease_reclaims,
-            "quarantined": self.quarantined,
-            "overruns": self.overruns,
-            "stranded": self.stranded,
-            "wall_time": self.wall_time,
-        }
+    def open(self, report: WorkerReport) -> str:
+        self.report = report
+        version = str(self.queue.manifest().get("version", ""))
+        self._journal.append_event(
+            "host_start",
+            host=self.host,
+            pid=os.getpid(),
+            ttl=self.ttl,
+            time_unix=time.time(),
+        )
+        return version
+
+    def close(self, clean: bool) -> None:
+        if clean:
+            self._journal.append_event(
+                "host_finish",
+                host=self.host,
+                stats=self.report.to_record(),
+                time_unix=time.time(),
+            )
+        self._journal.close()
+
+    def claim(self) -> Claim:
+        return next(self._claims, DRAINED)
+
+    def _passes(self) -> Iterator[Claim]:
+        while True:
+            pending = self.queue.pending_keys()
+            if not pending:
+                break
+            offset = hash(self.host) % len(pending)
+            progressed = False
+            for key in pending[offset:] + pending[:offset]:
+                claim = self._try_task(key)
+                if claim is not None:
+                    progressed = True
+                    yield claim
+            self._reap_moot_leases()
+            if not progressed and self.queue.pending_keys():
+                yield IDLE
+        self._reap_moot_leases()
+
+    def _try_task(self, key: str) -> Optional[Claim]:
+        """Claim ``key``: a task to run, ``RETIRED``, or None (no progress)."""
+        task_record = self.queue.read_task(key)
+        if task_record is None:
+            return None  # completed (or retired) by someone else
+        stolen = None
+        if not self.leases.claim(key, self.host):
+            stolen = self.leases.reclaim(key, self.host, self.observer)
+            if stolen is None:
+                return None  # live owner elsewhere, or lost the race
+            self.report.lease_reclaims += 1
+            self._journal.append_event(
+                "lease_reclaim",
+                key=key,
+                host=self.host,
+                victim_host=stolen.host,
+                steal_count=stolen.steal_count + 1,
+                time_unix=time.time(),
+            )
+        if not self.queue.task_path(key).exists():
+            # Retired between our pending scan and the claim: the
+            # previous owner committed, removed the task file and
+            # released.  Only the lease holder retires a task, so now
+            # that *we* hold the lease this check is race-free.
+            self.leases.release(key)
+            return None
+        spec = TaskSpec.from_record(task_record["spec"])
+        if stolen is not None and (
+            stolen.steal_count + 1 > self.policy.max_retries
+        ):
+            # The steal count folds into the retry budget: hosts keep
+            # dying (or wedging) on this task.
+            self.quarantine(key, quarantine_record(
+                spec, key, "crash", stolen.steal_count + 1,
+                f"lease stolen {stolen.steal_count + 1} times "
+                f"(last victim {stolen.host}); hosts keep dying "
+                "on this task",
+            ))
+            self.report.quarantined += 1
+            return RETIRED
+        record = self.cache.get(key)
+        if record is not None:
+            # A dead (or racing) host already committed: replay.
+            self._journal_outcome(key, record, cached=True, source="cache")
+            self.report.cache_hits += 1
+            self._finish(key)
+            return RETIRED
+        return key, spec
+
+    def heartbeat(self, key: str) -> None:
+        self.leases.heartbeat(key)
+
+    def commit(self, key: str, record: Dict[str, Any]) -> None:
+        self.cache.put(key, record)
+        self._journal_outcome(key, record, cached=False, source="fresh")
+        self._finish(key)
+
+    def quarantine(self, key: str, record: Dict[str, Any]) -> None:
+        self.queue.put_quarantine(key, record)
+        self._journal.append_quarantine(key, record)
+        self._finish(key)
+
+    def _journal_outcome(
+        self, key: str, record: Dict[str, Any], cached: bool, source: str
+    ) -> None:
+        self._journal.append_event(
+            "outcome",
+            key=key,
+            record=record,
+            host=self.host,
+            cached=cached,
+            source=source,
+            time_unix=time.time(),
+        )
+
+    def _finish(self, key: str) -> None:
+        """Commit order matters: cache, journal, *then* retire the task
+        file, then release the lease — a kill between any two steps
+        leaves the queue recoverable (at worst a replayed cache hit)."""
+        self.queue.remove_task(key)
+        self.leases.release(key)
+
+    def _reap_moot_leases(self) -> None:
+        """Unlink leases whose task is already retired.
+
+        A host killed between retiring the task file and releasing the
+        lease leaves a lease that refers to nothing.  The work is
+        committed, so any worker may clear it immediately — no TTL wait.
+        """
+        for key in self.leases.keys():
+            if not self.queue.task_path(key).exists():
+                self.leases.release(key)
+                self.observer.forget(key)
 
 
-class FleetWorker:
+class FleetWorker(Worker):
     """One pull-mode worker draining a fleet queue until it is empty.
 
-    Tasks execute inline in this process (a fleet already shards across
-    processes and machines; each worker is one lane).  ``run_fn``
-    overrides the registry lookup — tests inject counting stubs; the CLI
-    leaves it None so specs resolve through
-    :func:`~repro.runner.registry.run_registered_task` (or the batch
-    entry point, as a singleton batch, for ``engine="vector"`` tasks).
+    The shared :class:`~repro.runner.worker.Worker` loop over a
+    :class:`LeaseSource`.  Tasks execute inline in this process (a fleet
+    already shards across processes and machines; each worker is one
+    lane); ``run_fn`` overrides the registry lookup.
 
     ``ttl`` is the lease expiry interval: a lease whose mtime sits
     unchanged for one TTL of this worker's monotonic clock is treated as
@@ -298,10 +440,7 @@ class FleetWorker:
     lease every ``ttl/4`` by default, so only a dead or wedged host goes
     stale.  ``clock_skew`` (chaos/testing) makes this worker stamp lease
     times as if its wall clock were wrong by that many seconds.
-
-    ``throttle`` sleeps that long before each fresh execution — chaos
-    and tests use it to hold tasks in flight long enough to kill hosts
-    mid-task; production leaves it 0.
+    ``throttle`` sleeps that long before each fresh execution.
     """
 
     def __init__(
@@ -319,301 +458,31 @@ class FleetWorker:
         max_tasks: Optional[int] = None,
         progress: bool = False,
     ) -> None:
-        self.queue = queue if isinstance(queue, FleetQueue) else FleetQueue(queue)
-        self.host = host if host is not None else default_host_name()
-        self.policy = policy if policy is not None else FaultPolicy()
         if ttl <= 0:
             raise ConfigurationError(f"ttl must be positive, got {ttl}")
-        self.ttl = ttl
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else ttl / 4.0
+        host = host if host is not None else default_host_name()
+        policy = policy if policy is not None else FaultPolicy()
+        source = LeaseSource(
+            queue if isinstance(queue, FleetQueue) else FleetQueue(queue),
+            host,
+            policy=policy,
+            ttl=ttl,
+            clock_skew=clock_skew,
         )
-        self.poll_interval = poll_interval
-        self.throttle = throttle
-        self.run_fn = run_fn
-        self.max_tasks = max_tasks
-        self.progress = progress
-        self.leases = self.queue.leases(clock_skew=clock_skew)
-        self.observer = LeaseObserver(ttl)
-        self.cache = self.queue.cache()
-        self.report = WorkerReport(host=self.host)
-        self._active_key: Optional[str] = None
-        self._stop_heartbeat = threading.Event()
-        self._journal: Optional[SweepCheckpoint] = None
-
-    # -- journal -------------------------------------------------------
-
-    def _journal_outcome(
-        self, key: str, record: Dict[str, Any], cached: bool, source: str
-    ) -> None:
-        self._journal._append(
-            {
-                "kind": "outcome",
-                "key": key,
-                "record": record,
-                "host": self.host,
-                "cached": cached,
-                "source": source,
-                "time_unix": time.time(),
-            }
+        super().__init__(
+            source,
+            host,
+            policy=policy,
+            heartbeat_interval=(
+                heartbeat_interval if heartbeat_interval is not None
+                else ttl / 4.0
+            ),
+            poll_interval=poll_interval,
+            throttle=throttle,
+            run_fn=run_fn,
+            max_tasks=max_tasks,
+            progress=progress,
         )
-
-    # -- heartbeat thread ----------------------------------------------
-
-    def _heartbeat_loop(self) -> None:
-        while not self._stop_heartbeat.wait(self.heartbeat_interval):
-            key = self._active_key
-            if key is not None:
-                self.leases.heartbeat(key)
-
-    # -- task execution ------------------------------------------------
-
-    def _call(self, spec: TaskSpec) -> Mapping[str, Any]:
-        if self.run_fn is not None:
-            return self.run_fn(spec)
-        from repro.runner.registry import (
-            run_registered_batch,
-            run_registered_task,
-        )
-
-        if spec.engine != "scalar":
-            return run_registered_batch(spec.exp_id, [spec])[0]
-        return run_registered_task(spec.exp_id, spec)
-
-    def _execute(
-        self, spec: TaskSpec, key: str
-    ) -> Optional[Tuple[Dict[str, Any], float]]:
-        """Run one task with the policy's retry budget; None if given up."""
-        attempts = 0
-        while True:
-            started = time.perf_counter()
-            try:
-                metrics = dict(self._call(spec))
-            except Exception as exc:
-                attempts += 1
-                if attempts > self.policy.max_retries:
-                    self._quarantine(
-                        spec,
-                        key,
-                        category="error",
-                        attempts=attempts,
-                        detail=(
-                            f"task {spec.label()} failed on {self.host}: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                    )
-                    return None
-                self.report.retries += 1
-                time.sleep(self.policy.backoff_delay(key, attempts))
-                continue
-            wall = time.perf_counter() - started
-            if self.policy.timeout is not None and wall > self.policy.timeout:
-                # Inline execution cannot preempt; overruns are counted
-                # (the fleet's watchdog against *dead* hosts is the
-                # lease TTL, not this budget).
-                self.report.overruns += 1
-            return metrics, wall
-
-    def _quarantine(
-        self,
-        spec: TaskSpec,
-        key: str,
-        *,
-        category: str,
-        attempts: int,
-        detail: str,
-    ) -> None:
-        record = QuarantineRecord(
-            spec=spec.to_record(),
-            key=key,
-            label=spec.label(),
-            category=category,
-            attempts=attempts,
-            detail=detail,
-        )
-        self.queue.put_quarantine(key, record.to_record())
-        self._journal.append_quarantine(key, record.to_record())
-        self.report.quarantined += 1
-
-    # -- per-task protocol ---------------------------------------------
-
-    def _finish(self, key: str) -> None:
-        """Commit order matters: journal, *then* retire the task file,
-        then release the lease — a kill between any two steps leaves the
-        queue recoverable (at worst a replayed cache hit)."""
-        self.queue.remove_task(key)
-        self.leases.release(key)
-
-    def _try_task(self, key: str, version: str) -> bool:
-        """Claim and finish one task; True if this worker made progress."""
-        task_record = self.queue.read_task(key)
-        if task_record is None:
-            return False  # completed (or retired) by someone else
-        stolen = None
-        if not self.leases.claim(key, self.host):
-            stolen = self.leases.reclaim(key, self.host, self.observer)
-            if stolen is None:
-                return False  # live owner elsewhere, or lost the race
-            self.report.lease_reclaims += 1
-            steal_count = stolen.steal_count + 1
-            self._journal.append_event(
-                "lease_reclaim",
-                key=key,
-                host=self.host,
-                victim_host=stolen.host,
-                steal_count=steal_count,
-                time_unix=time.time(),
-            )
-        try:
-            if not self.queue.task_path(key).exists():
-                # Retired between our pending scan and the claim: the
-                # previous owner committed, removed the task file and
-                # released.  Only the lease holder retires a task, so
-                # now that *we* hold the lease this check is race-free.
-                self.leases.release(key)
-                return False
-            spec = TaskSpec.from_record(task_record["spec"])
-            if stolen is not None and (
-                stolen.steal_count + 1 > self.policy.max_retries
-            ):
-                # The steal count folds into the retry budget: hosts
-                # keep dying (or wedging) on this task.
-                self._quarantine(
-                    spec,
-                    key,
-                    category="crash",
-                    attempts=stolen.steal_count + 1,
-                    detail=(
-                        f"lease stolen {stolen.steal_count + 1} times "
-                        f"(last victim {stolen.host}); hosts keep dying "
-                        "on this task"
-                    ),
-                )
-                self._finish(key)
-                return True
-            self._active_key = key
-            try:
-                record = self.cache.get(key)
-                if record is not None:
-                    # A dead (or racing) host already committed: replay.
-                    self._journal_outcome(
-                        key, record, cached=True, source="cache"
-                    )
-                    self.report.cache_hits += 1
-                    self._finish(key)
-                    return True
-                if self.throttle:
-                    time.sleep(self.throttle)
-                result = self._execute(spec, key)
-                if result is None:  # quarantined
-                    self._finish(key)
-                    return True
-                metrics, wall = result
-                record = {
-                    "spec": spec.to_record(),
-                    "metrics": metrics,
-                    "wall_time": wall,
-                    "version": version,
-                }
-                self.cache.put(key, record)
-                self._journal_outcome(
-                    key, record, cached=False, source="fresh"
-                )
-                self.report.executed += 1
-                self._finish(key)
-                if self.progress:
-                    print(
-                        f"[{self.host}] {spec.label()} done in {wall:.2f}s",
-                        flush=True,
-                    )
-                return True
-            finally:
-                self._active_key = None
-        except BaseException:
-            # Interrupted mid-task: leave the lease to expire naturally
-            # (releasing it here could hand a half-journaled task to a
-            # rival while we unwind).
-            raise
-
-    def _reap_moot_leases(self) -> None:
-        """Unlink leases whose task is already retired.
-
-        A host killed between retiring the task file and releasing the
-        lease leaves a lease that refers to nothing.  The work is
-        committed, so any worker may clear it immediately — no TTL wait.
-        """
-        for key in self.leases.keys():
-            if not self.queue.task_path(key).exists():
-                self.leases.release(key)
-                self.observer.forget(key)
-
-    # -- the drain loop ------------------------------------------------
-
-    def run(self) -> WorkerReport:
-        """Drain the queue: loop until no task files remain.
-
-        Each pass scans the pending tasks in a host-dependent rotation
-        (so simultaneous workers start at different points and rarely
-        collide on claims), then reaps moot leases; if a pass made no
-        progress — everything pending is leased to live owners — the
-        worker sleeps ``poll_interval`` and rescans, which is also how
-        it watches rivals' leases for staleness.
-        """
-        started = time.perf_counter()
-        version = str(self.queue.manifest().get("version", ""))
-        # fsync=True: journaling an outcome is the step that lets the
-        # merge layer trust "this task is done" after any crash.
-        self._journal = SweepCheckpoint(
-            self.queue.journal_path(self.host), fsync=True
-        )
-        self._journal.append_event(
-            "host_start",
-            host=self.host,
-            pid=os.getpid(),
-            ttl=self.ttl,
-            time_unix=time.time(),
-        )
-        self._stop_heartbeat.clear()
-        beat = threading.Thread(target=self._heartbeat_loop, daemon=True)
-        beat.start()
-        done = 0
-        try:
-            while True:
-                pending = self.queue.pending_keys()
-                if not pending:
-                    break
-                offset = hash(self.host) % len(pending)
-                rotated = pending[offset:] + pending[:offset]
-                progressed = False
-                for key in rotated:
-                    if (
-                        self.max_tasks is not None
-                        and done >= self.max_tasks
-                    ):
-                        return self._shutdown(started, done)
-                    if self._try_task(key, version):
-                        progressed = True
-                        done += 1
-                self._reap_moot_leases()
-                if not progressed and self.queue.pending_keys():
-                    time.sleep(self.poll_interval)
-            self._reap_moot_leases()
-        finally:
-            self._stop_heartbeat.set()
-            beat.join(timeout=2.0)
-        return self._shutdown(started, done)
-
-    def _shutdown(self, started: float, done: int) -> WorkerReport:
-        self._stop_heartbeat.set()
-        self.report.wall_time = time.perf_counter() - started
-        self._journal.append_event(
-            "host_finish",
-            host=self.host,
-            stats=self.report.to_record(),
-            time_unix=time.time(),
-        )
-        self._journal.close()
-        return self.report
 
 
 # ----------------------------------------------------------------------
@@ -822,12 +691,6 @@ def fleet_status(queue_dir: os.PathLike) -> FleetStatus:
             leased[key] = owner
         else:
             orphans.append(key)
-    victims = {
-        event["victim_host"]
-        for event in events
-        if event.get("kind") == "lease_reclaim"
-        and event.get("victim_host")
-    }
     return FleetStatus(
         queue_dir=str(queue.root),
         exp_id=str(manifest.get("exp_id", "?")),
@@ -840,7 +703,7 @@ def fleet_status(queue_dir: os.PathLike) -> FleetStatus:
         quarantined=len(quarantine),
         duplicates_merged=duplicates,
         lease_reclaims=sum(h.lease_reclaims for h in hosts),
-        host_failures=len(victims),
+        host_failures=len(_victims(events)),
         hosts=hosts,
         leased=leased,
         orphan_leases=orphans,
@@ -848,75 +711,81 @@ def fleet_status(queue_dir: os.PathLike) -> FleetStatus:
     )
 
 
-def fleet_report(queue_dir: os.PathLike) -> RunReport:
-    """The merged :class:`RunReport` of a fleet run, in grid order.
+def journal_report(
+    manifest: Mapping[str, Any],
+    outcome_entries: List[Dict[str, Any]],
+    quarantine: List[Dict[str, Any]],
+    hosts: List[HostStatus],
+    *,
+    lease_reclaims: int,
+    host_failures: int,
+) -> RunReport:
+    """Fold journaled outcome entries into a :class:`RunReport`.
 
-    Built from the union of the per-host journals, deduplicated
-    last-write-wins by content key; the manifest's key list restores
-    grid order, so ``summary_table()`` is bit-comparable with a
-    single-process run of the same grid.
+    The entries are deduplicated last-write-wins by content key and put
+    back in the manifest's grid order, so ``summary_table()`` is
+    bit-comparable with a single-process run of the same grid.  Wall
+    time spans the hosts' first to last journal stamps.
     """
-    queue = (
-        queue_dir if isinstance(queue_dir, FleetQueue) else FleetQueue(queue_dir)
-    )
-    manifest = queue.manifest()
-    outcomes_raw, events, hosts = _merged_journal(queue)
-    merged, duplicates = merge_task_records(outcomes_raw)
-    by_key: Dict[str, Dict[str, Any]] = {
-        entry["key"]: entry for entry in merged if "key" in entry
-    }
-    quarantine = queue.quarantined()
-    ordered_keys = [
-        str(key) for key in manifest.get("keys", sorted(by_key))
-    ]
+    merged, duplicates = merge_task_records(outcome_entries)
+    by_key = {entry["key"]: entry for entry in merged if "key" in entry}
     outcomes: List[TaskOutcome] = []
-    executed = 0
-    cache_hits = 0
-    for key in ordered_keys:
-        entry = by_key.get(key)
+    for key in manifest.get("keys", sorted(by_key)):
+        entry = by_key.get(str(key))
         if entry is None:
             continue
         record = entry.get("record", {})
-        cached = bool(entry.get("cached"))
-        if cached:
-            cache_hits += 1
-        else:
-            executed += 1
         outcomes.append(
             TaskOutcome(
                 spec=TaskSpec.from_record(record["spec"]),
                 metrics=record.get("metrics", {}),
                 wall_time=float(record.get("wall_time", 0.0)),
-                cached=cached,
-                key=key,
+                cached=bool(entry.get("cached")),
+                key=str(key),
                 source=str(entry.get("source", "fresh")),
             )
         )
-    wall = 0.0
+    cache_hits = sum(outcome.cached for outcome in outcomes)
     stamps = [h.started_unix for h in hosts if h.started_unix is not None]
     ends = [h.last_seen_unix for h in hosts if h.last_seen_unix is not None]
-    if stamps and ends:
-        wall = max(0.0, max(ends) - min(stamps))
-    victims = {
-        event["victim_host"]
-        for event in events
-        if event.get("kind") == "lease_reclaim"
-        and event.get("victim_host")
-    }
+    wall = max(0.0, max(ends) - min(stamps)) if stamps and ends else 0.0
     return RunReport(
         exp_id=str(manifest.get("exp_id", "?")),
         version=str(manifest.get("version", "?")),
         workers=len(hosts),
         outcomes=outcomes,
-        executed=executed,
+        executed=len(outcomes) - cache_hits,
         cache_hits=cache_hits,
         wall_time=wall,
-        quarantined=[
-            QuarantineRecord.from_record(record)
-            for record in quarantine.values()
-        ],
+        quarantined=[QuarantineRecord.from_record(r) for r in quarantine],
         duplicates_merged=duplicates,
-        lease_reclaims=sum(h.lease_reclaims for h in hosts),
+        lease_reclaims=lease_reclaims,
         hosts_seen=len(hosts),
-        host_failures=len(victims),
+        host_failures=host_failures,
+    )
+
+
+def _victims(events: List[Dict[str, Any]]) -> set:
+    """Distinct hosts whose leases were stolen: the fleet's host failures."""
+    return {
+        event["victim_host"]
+        for event in events
+        if event.get("kind") == "lease_reclaim" and event.get("victim_host")
+    }
+
+
+def fleet_report(queue_dir: os.PathLike) -> RunReport:
+    """The merged :class:`RunReport` of a fleet run, in grid order,
+    built from the union of the per-host journals."""
+    queue = (
+        queue_dir if isinstance(queue_dir, FleetQueue) else FleetQueue(queue_dir)
+    )
+    outcomes, events, hosts = _merged_journal(queue)
+    return journal_report(
+        queue.manifest(),
+        outcomes,
+        list(queue.quarantined().values()),
+        hosts,
+        lease_reclaims=sum(h.lease_reclaims for h in hosts),
+        host_failures=len(_victims(events)),
     )

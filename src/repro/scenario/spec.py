@@ -118,7 +118,7 @@ ENGINE_FIELDS = {
         (str,), default="auto", choices=("dense", "sparse", "auto")
     ),
     "backend": Field(
-        (str,), default="auto", choices=("numpy", "numba", "cupy", "auto")
+        (str,), default="auto", choices=("numpy", "numba", "auto")
     ),
     "mask": Field((str,), default="auto", choices=("on", "off", "auto")),
     "idle_scheduling": Field((bool,), default=True),

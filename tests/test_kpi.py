@@ -3,8 +3,8 @@
 KPIs must pool correctly (ratios from summed counters, not means of
 ratios), agree between the in-memory report path and the telemetry-file
 path, and land in a flat JSON file whose top-level scalars the
-regression gate can consume.  The sketch move to repro.analysis must
-keep the old repro.service.streaming imports working.
+regression gate can consume.  The sketches live in repro.analysis, and
+repro.service re-exports them.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ class TestSketchesMove:
         assert q.value == pytest.approx(6.0, abs=1.0)
         assert RateWindow is not None
 
-    def test_service_streaming_shim_still_works(self):
-        from repro.service.streaming import P2Quantile, RateWindow, Welford
+    def test_service_reexports_the_sketches(self):
+        from repro.service import P2Quantile, RateWindow, Welford
         from repro.analysis import sketches
 
         assert Welford is sketches.Welford

@@ -367,7 +367,7 @@ class TestBackends:
     def test_validate_backend(self):
         from repro.vector import BACKENDS, validate_backend
 
-        assert BACKENDS == ("numpy", "numba", "cupy", "auto")
+        assert BACKENDS == ("numpy", "numba", "auto")
         for name in BACKENDS:
             assert validate_backend(name) == name
         with pytest.raises(ConfigurationError):
@@ -378,13 +378,13 @@ class TestBackends:
 
         names = available_backends()
         assert names[0] == "numpy"
-        assert "cupy" not in names  # stub only: never auto-selected
+        assert "cupy" not in names  # there is no GPU backend
 
-    def test_cupy_backend_is_an_explicit_stub(self):
-        from repro.vector import resolve_backend
+    def test_cupy_is_an_unknown_backend(self):
+        from repro.vector import validate_backend
 
         with pytest.raises(ConfigurationError) as err:
-            resolve_backend("cupy")
+            validate_backend("cupy")
         assert "cupy" in str(err.value)
 
     def test_numba_request_falls_back_silently(self):
